@@ -82,7 +82,8 @@ bool prepare_batch(const seq::ReadBatch& batch, const MapOptions& options,
           job.lengths[2 * i] = static_cast<unsigned>(read.size());
           job.lengths[2 * i + 1] = static_cast<unsigned>(read.size());
         }
-      });
+      },
+      util::kElementGrain);
   return true;
 }
 

@@ -598,6 +598,8 @@ AssemblyResult Assembler::run(
                     {"graph_edges", reduced.graph->edge_count()}});
       }
     }
+    // Checkpointed runs keep the sorted runs: a resume may re-reduce them.
+    if (cm == nullptr) remove_sorted_files(sorted.partitions);
   }
   // ---- Reduction (reduced graph mode only): blocked parallel Myers
   // transitive reduction over the full overlap graph, then the unitig walk

@@ -41,7 +41,8 @@ void split_records(std::span<const FpRecord> records,
           keys[i] = records[i].fp;
           vals[i] = records[i].vertex;
         }
-      });
+      },
+      util::kElementGrain);
 }
 
 void join_records(std::span<const gpu::Key128> keys,
@@ -52,7 +53,8 @@ void join_records(std::span<const gpu::Key128> keys,
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = FpRecord{keys[i], static_cast<std::uint32_t>(vals[i]), 0};
         }
-      });
+      },
+      util::kElementGrain);
 }
 
 /// Device radix sort of one chunk (must fit m_d). The H2D/sort/D2H legs
@@ -884,6 +886,14 @@ SortResult run_sort_phase(Workspace& ws, MapResult& map,
            << result.partitions.size() << " partitions, max passes "
            << result.max_disk_passes;
   return result;
+}
+
+void remove_sorted_files(std::span<const SortedPartition> partitions) {
+  std::error_code ec;
+  for (const SortedPartition& part : partitions) {
+    std::filesystem::remove(part.suffix_file, ec);
+    std::filesystem::remove(part.prefix_file, ec);
+  }
 }
 
 }  // namespace lasagna::core

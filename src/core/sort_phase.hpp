@@ -141,4 +141,9 @@ struct SortResult {
 [[nodiscard]] SortResult run_sort_phase(Workspace& ws, MapResult& map,
                                         const BlockGeometry& geometry);
 
+/// Delete the files behind `partitions` once nothing will read them again
+/// (no checkpoint to resume from), so the reduce phase that consumed them
+/// pays for the removal rather than temp-dir teardown outside every phase.
+void remove_sorted_files(std::span<const SortedPartition> partitions);
+
 }  // namespace lasagna::core

@@ -2687,6 +2687,9 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
       phase.modeled_seconds = reduce_modeled;
     }
 
+    if (config.work_dir.empty()) {
+      for (const auto& node : nodes) core::remove_sorted_files(node.sorted);
+    }
     phase.wall_seconds = wall.seconds();
     double dev_max = 0.0, disk_max = 0.0, host_max = 0.0;
     for (auto& node : nodes) {

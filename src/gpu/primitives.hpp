@@ -263,7 +263,8 @@ inline void vector_lower_bound(Device& dev, std::span<const Key128> needles,
               std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
               haystack.begin());
         }
-      });
+      },
+      util::kElementGrain);
   const std::uint64_t probes =
       haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
   dev.charge_kernel(needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
@@ -285,7 +286,8 @@ inline void vector_upper_bound(Device& dev, std::span<const Key128> needles,
               std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
               haystack.begin());
         }
-      });
+      },
+      util::kElementGrain);
   const std::uint64_t probes =
       haystack.empty() ? 1 : 64 - std::countl_zero(haystack.size() | 1);
   dev.charge_kernel(needles.size() * (sizeof(Key128) + sizeof(std::uint32_t)) +
@@ -305,7 +307,8 @@ void gather(Device& dev, std::span<const T> src, std::span<const I> indices,
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = src[static_cast<std::size_t>(indices[i])];
         }
-      });
+      },
+      util::kElementGrain);
   dev.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
                     indices.size());
 }
@@ -322,7 +325,8 @@ void scatter(Device& dev, std::span<const T> src, std::span<const I> indices,
         for (std::size_t i = begin; i < end; ++i) {
           out[static_cast<std::size_t>(indices[i])] = src[i];
         }
-      });
+      },
+      util::kElementGrain);
   dev.charge_kernel(indices.size() * (2 * sizeof(T) + sizeof(I)),
                     indices.size());
 }

@@ -34,10 +34,17 @@ class RecordReader {
   /// Returns the number of records read; 0 at end of file.
   std::size_t read(std::vector<T>& out, std::size_t max_records) {
     if (max_records == 0 || stream_.eof()) return 0;
+    // Grow `out` by what the file can still hold, not by `max_records`: a
+    // large budget must not zero-fill and page in memory a small file never
+    // uses. The extra record still reaches end of file (and a truncated
+    // tail) exactly as an uncapped read would.
+    const std::uint64_t left = remaining_records();
+    const std::size_t want =
+        left < max_records ? static_cast<std::size_t>(left) + 1 : max_records;
     const std::size_t old_size = out.size();
-    out.resize(old_size + max_records);
+    out.resize(old_size + want);
     const std::size_t got = stream_.read_bytes(std::as_writable_bytes(
-        std::span<T>(out.data() + old_size, max_records)));
+        std::span<T>(out.data() + old_size, want)));
     if (got % sizeof(T) != 0) {
       throw std::runtime_error("truncated record in " +
                                stream_.path().string());

@@ -78,35 +78,53 @@ void ThreadPool::parallel_for(std::size_t count,
 
 void ThreadPool::parallel_for_chunked(
     std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
+    const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t grain) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(count, size() * 4);
-  const std::size_t step = (count + chunks - 1) / chunks;
+  const std::size_t chunks =
+      std::clamp<std::size_t>(count / std::max<std::size_t>(grain, 1), 1,
+                              size() * 4);
+  if (chunks == 1) {
+    body(0, count);
+    return;
+  }
+  // Chunk c covers [c*count/chunks, (c+1)*count/chunks): sizes differ by at
+  // most one, so each holds at least count/chunks >= grain indices.
+  const auto bound = [count, chunks](std::size_t c) {
+    return c * count / chunks;
+  };
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::size_t remaining = 0;
-  std::exception_ptr first_error;
-  for (std::size_t begin = 0; begin < count; begin += step) ++remaining;
+  std::size_t remaining = chunks - 1;
+  std::vector<std::exception_ptr> errors(chunks);
 
-  for (std::size_t begin = 0; begin < count; begin += step) {
-    const std::size_t end = std::min(count, begin + step);
-    submit([&, begin, end] {
-      std::exception_ptr error;
+  for (std::size_t c = 1; c < chunks; ++c) {
+    submit([&, c] {
       try {
-        body(begin, end);
+        body(bound(c), bound(c + 1));
       } catch (...) {
-        error = std::current_exception();
+        errors[c] = std::current_exception();
       }
       std::lock_guard<std::mutex> lock(done_mutex);
-      if (error != nullptr && first_error == nullptr) first_error = error;
       if (--remaining == 0) done_cv.notify_one();
     });
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
-  // Rethrow the first failure in the caller (a faulting kernel surfaces
-  // where the launch happened, like a CUDA error code would).
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  // The caller works instead of sleeping; it must still wait for every
+  // worker chunk before leaving, since they reference this frame.
+  try {
+    body(0, bound(1));
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
+  {
+    std::unique_lock<std::mutex> lock(done_mutex);
+    done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  }
+  // Rethrow in the caller (a faulting kernel surfaces where the launch
+  // happened, like a CUDA error code would).
+  for (const auto& error : errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
 }
 
 ThreadPool& ThreadPool::global() {

@@ -15,11 +15,21 @@
 
 namespace lasagna::util {
 
+/// Smallest chunk `parallel_for_chunked` hands out for loops whose body does
+/// a few nanoseconds of work per element (record copies, gathers, binary
+/// searches). Below this a chunk costs more in queueing and wake-ups than it
+/// saves, so such loops pass it as `grain` and small ranges run inline.
+/// Loops over heavy items (radix partitions, kernel blocks) keep grain 1.
+/// A constant rather than a setting: it is a property of the host's task
+/// hand-off cost, not of the input, and it never changes the output.
+inline constexpr std::size_t kElementGrain = 16 * 1024;
+
 /// A fixed pool of worker threads executing queued tasks.
 ///
-/// Tasks must not throw; exceptions escaping a task terminate the process
-/// (matching the CUDA model where a faulting kernel kills the context).
-/// Use `parallel_for` for bulk data-parallel work.
+/// Tasks given to `submit` must not throw; exceptions escaping such a task
+/// terminate the process (matching the CUDA model where a faulting kernel
+/// kills the context). Use `parallel_for` for bulk data-parallel work; it
+/// rethrows a failing chunk's exception in the caller.
 class ThreadPool {
  public:
   /// Create a pool with `threads` workers (0 -> hardware_concurrency, min 1).
@@ -43,11 +53,17 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
-  /// Run `body(begin, end)` over contiguous index ranges covering [0, count).
-  /// Lower overhead than per-index dispatch for tight loops.
+  /// Run `body(begin, end)` over contiguous index ranges covering [0, count)
+  /// and block until all complete. At most `4 * size()` chunks, none shorter
+  /// than `grain` indices (unless `count` itself is). A range that fits in
+  /// one chunk runs inline on the caller and submits nothing; otherwise the
+  /// caller runs the first chunk itself while the workers take the rest.
+  /// If chunks throw, the first chunk's exception (lowest begin) is rethrown
+  /// in the caller once every chunk has finished.
   void parallel_for_chunked(
       std::size_t count,
-      const std::function<void(std::size_t, std::size_t)>& body);
+      const std::function<void(std::size_t, std::size_t)>& body,
+      std::size_t grain = 1);
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& global();

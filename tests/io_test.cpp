@@ -128,6 +128,21 @@ TEST(RecordStream, TruncatedFileThrows) {
   EXPECT_THROW(reader.read(out, 10), std::runtime_error);
 }
 
+TEST(RecordStream, LargeLimitGrowsOnlyByWhatTheFileHolds) {
+  ScopedTempDir dir("lasagna-test");
+  std::vector<Pod> records(10, Pod{3, 3, 0});
+  write_all_records<Pod>(dir.file("recs.bin"), records);
+
+  RecordReader<Pod> reader(dir.file("recs.bin"));
+  std::vector<Pod> out;
+  EXPECT_EQ(reader.read(out, std::size_t{1} << 24), 10u);
+  EXPECT_EQ(out.size(), 10u);
+  // A host-block-sized limit must not allocate a host block per file.
+  EXPECT_LE(out.capacity(), 64u);
+  EXPECT_TRUE(reader.eof());
+  EXPECT_EQ(reader.read(out, std::size_t{1} << 24), 0u);
+}
+
 TEST(Fastq, ParsesFastqRecords) {
   std::istringstream in(
       "@read1 pos=5\nACGT\n+\nIIII\n"

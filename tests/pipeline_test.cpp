@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "core/pipeline.hpp"
 #include "io/fastq.hpp"
@@ -104,6 +105,33 @@ TEST(Pipeline, VerifyModeReportsZeroFalsePositivesWith128BitFingerprints) {
   EXPECT_EQ(e2e.result.false_positives, 0u)
       << "128-bit fingerprints must be collision-free on this corpus "
          "(paper IV-B)";
+}
+
+std::size_t sorted_file_count(const std::filesystem::path& work) {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(work / "sorted")) {
+    n += entry.path().extension() == ".sorted" ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(Pipeline, SortedRunsAreDroppedUnlessCheckpointed) {
+  // Verify mode runs without a checkpoint even in a user work dir, so the
+  // reduce phase removes the sorted runs it consumed; a checkpointed run
+  // keeps them for resume.
+  io::ScopedTempDir unchecked("lasagna-e2e-work");
+  auto config = small_machine();
+  config.work_dir = unchecked.path();
+  config.verify_overlaps = true;
+  assemble(3000, 15.0, 80, 50, config);
+  EXPECT_EQ(sorted_file_count(unchecked.path()), 0u);
+
+  io::ScopedTempDir checked("lasagna-e2e-work");
+  config.work_dir = checked.path();
+  config.verify_overlaps = false;
+  assemble(3000, 15.0, 80, 50, config);
+  EXPECT_GT(sorted_file_count(checked.path()), 0u);
 }
 
 TEST(Pipeline, GreedyGraphInvariant) {

@@ -7,6 +7,8 @@
 
 #include "core/sort_phase.hpp"
 #include "io/record_stream.hpp"
+#include "kernel/backend.hpp"
+#include "obs/metrics.hpp"
 #include "test_workspace.hpp"
 
 namespace lasagna::core {
@@ -55,6 +57,24 @@ TEST(SortHostBlock, ManyDuplicateKeys) {
   for (auto& r : records) r.fp.hi = 0;
   sort_host_block(tw.ws(), records, 128);
   EXPECT_TRUE(is_sorted_by_fp(records));
+}
+
+TEST(SortHostBlock, HostBackendKeepsSmallChunksOffThePool) {
+  // hgenome-k20 geometry: 2 048-record device chunks and 1 024-record merge
+  // windows. Each of those ranges is far below one pool grain, so the split,
+  // join and merge loops run inline; slicing them for the pool would cost
+  // thousands of task submissions for this block.
+  TestWorkspace tw;
+  kernel::ScopedBackend backend(kernel::scalar_backend());
+  auto records = random_records(44000, 11);
+  auto& registry = obs::MetricsRegistry::global();
+  const std::int64_t before = registry.value("pool.tasks_submitted");
+  sort_host_block(tw.ws(), records, 2048);
+  const std::int64_t submitted =
+      registry.value("pool.tasks_submitted") - before;
+  EXPECT_TRUE(is_sorted_by_fp(records));
+  // At most one task per device chunk (22 chunks here).
+  EXPECT_LE(submitted, 22);
 }
 
 TEST(DeviceWindowedMerge, MergesTwoRuns) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/bitvector.hpp"
 #include "util/memory_tracker.hpp"
 #include "util/modmath.hpp"
@@ -181,6 +188,96 @@ TEST(ThreadPool, ChunkedCoversDisjointRanges) {
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+std::int64_t tasks_submitted() {
+  return obs::MetricsRegistry::global().value("pool.tasks_submitted");
+}
+
+TEST(ThreadPool, CallerChunkExceptionRethrowsAfterAllChunks) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  const auto body = [&](std::size_t b, std::size_t) {
+    if (b == 0) throw std::runtime_error("caller chunk");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    finished.fetch_add(1);
+  };
+  EXPECT_THROW(pool.parallel_for_chunked(120, body), std::runtime_error);
+  // 3 workers -> 12 chunks; the 11 worker chunks completed before the throw.
+  EXPECT_EQ(finished.load(), 11);
+}
+
+TEST(ThreadPool, WorkerChunkExceptionRethrowsAfterAllChunks) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  std::atomic<bool> caller_done{false};
+  const auto caller = std::this_thread::get_id();
+  try {
+    pool.parallel_for_chunked(120, [&](std::size_t b, std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        caller_done = true;
+      } else if (b == 60) {
+        throw std::logic_error("worker");
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      finished.fetch_add(1);
+    });
+    FAIL() << "expected the worker's exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "worker");
+  }
+  EXPECT_TRUE(caller_done.load());
+  EXPECT_EQ(finished.load(), 11);
+}
+
+TEST(ThreadPool, SingleChunkRunsInlineWithoutSubmitting) {
+  ThreadPool pool(4);
+  const std::int64_t before = tasks_submitted();
+  std::thread::id ran_on;
+  std::size_t calls = 0;
+  pool.parallel_for_chunked(
+      kElementGrain, [&](std::size_t b, std::size_t e) {
+        ran_on = std::this_thread::get_id();
+        ++calls;
+        EXPECT_EQ(b, 0u);
+        EXPECT_EQ(e, kElementGrain);
+      },
+      kElementGrain);
+  pool.parallel_for_chunked(1, [&](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(tasks_submitted(), before);
+}
+
+TEST(ThreadPool, ChunksRespectGrain) {
+  ThreadPool pool(4);
+  for (const std::size_t count : {std::size_t{1000}, std::size_t{4095},
+                                  std::size_t{40000}}) {
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{1000}, std::size_t{4096}}) {
+      std::mutex m;
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      pool.parallel_for_chunked(
+          count,
+          [&](std::size_t b, std::size_t e) {
+            std::lock_guard<std::mutex> lock(m);
+            ranges.emplace_back(b, e);
+          },
+          grain);
+      std::sort(ranges.begin(), ranges.end());
+      ASSERT_FALSE(ranges.empty());
+      EXPECT_LE(ranges.size(), pool.size() * 4);
+      std::size_t next = 0;
+      for (const auto& [b, e] : ranges) {
+        EXPECT_EQ(b, next);
+        EXPECT_GE(e - b, std::min(count, grain)) << count << "/" << grain;
+        next = e;
+      }
+      EXPECT_EQ(next, count);
+    }
+  }
 }
 
 TEST(RunStats, TotalsAndLookup) {
