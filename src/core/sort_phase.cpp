@@ -1,6 +1,8 @@
 #include "core/sort_phase.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -57,11 +59,21 @@ void join_records(std::span<const gpu::Key128> keys,
       util::kElementGrain);
 }
 
+/// Records the wall time of one chunk sort begun at `start` in
+/// kernel.sort_pairs.wall_ns.
+void record_sort_wall(std::chrono::steady_clock::time_point start) {
+  static obs::Histogram& wall_ns =
+      obs::MetricsRegistry::global().histogram("kernel.sort_pairs.wall_ns");
+  wall_ns.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+}
+
 /// Device radix sort of one chunk (must fit m_d). The H2D/sort/D2H legs
 /// charge the chunk's stream; alternating chunks across the two legs models
 /// transfers hidden behind the neighbouring chunk's kernel.
-void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
-                       DeviceStreams& streams) {
+void device_sort_chunk(Workspace& ws, kernel::Backend& backend,
+                       std::span<FpRecord> chunk, DeviceStreams& streams) {
   if (chunk.size() < 2) return;
   gpu::Device& dev = *ws.device;
 
@@ -77,10 +89,7 @@ void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
          std::as_bytes(std::span<const std::uint64_t>(vals))});
   }
 
-  static obs::Histogram& wall_ns =
-      obs::MetricsRegistry::global().histogram("kernel.sort_pairs.wall_ns");
   const auto t0 = std::chrono::steady_clock::now();
-  kernel::Backend& backend = kernel::active_backend();
   if (!backend.uses_device()) {
     // Host backend (scalar/avx2): sort in place on the host split; same
     // stable LSD permutation, so records land byte-identically.
@@ -105,9 +114,7 @@ void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
     s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
                          std::span<std::uint64_t>(vals));
   }
-  wall_ns.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+  record_sort_wall(t0);
 
   if (capture != nullptr) {
     capture->record(
@@ -120,7 +127,101 @@ void device_sort_chunk(Workspace& ws, std::span<FpRecord> chunk,
   join_records(keys, vals, chunk);
 }
 
+/// A host-backend block that is one chunk of at least this many records
+/// sorts by key range on the pool (key_range_sort).
+constexpr std::size_t kKeyRangeSortMin = 2 * util::kElementGrain;
+/// Key ranges per pool worker, so a skewed digit histogram still balances.
+constexpr std::size_t kKeyRangesPerWorker = 4;
+
+/// Host-backend sort of one chunk on the pool. The records are stably
+/// scattered into contiguous value ranges of their most significant
+/// non-degenerate key digit, balanced by that digit's histogram, and
+/// `backend` sorts each range. Every key of a range is below every key of
+/// the next, so the result is the one stable sort of the chunk by key:
+/// byte-identical to device_sort_chunk.
+void key_range_sort(kernel::Backend& backend, std::span<FpRecord> chunk) {
+  const std::size_t n = chunk.size();
+  const auto t0 = std::chrono::steady_clock::now();
+  std::array<std::size_t, 256> hist{};
+  unsigned digit = gpu::Key128::kDigits;
+  do {
+    if (digit == 0) {  // every key equal: already stably sorted
+      record_sort_wall(t0);
+      return;
+    }
+    --digit;
+    hist.fill(0);
+    for (const FpRecord& r : chunk) ++hist[r.fp.digit(digit)];
+  } while (std::find(hist.begin(), hist.end(), n) != hist.end());
+
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t ranges = kKeyRangesPerWorker * pool.size();
+  std::array<std::size_t, 256> range_of{};
+  std::vector<std::size_t> bounds{0};
+  std::size_t total = 0;
+  for (unsigned v = 0; v < 256; ++v) {
+    range_of[v] = bounds.size() - 1;
+    total += hist[v];
+    if (total < n && total > bounds.back() &&
+        total * ranges >= bounds.size() * n) {
+      bounds.push_back(total);
+    }
+  }
+  bounds.push_back(n);
+
+  std::vector<gpu::Key128> keys(n);
+  std::vector<std::uint64_t> vals(n);
+  std::vector<std::size_t> next(bounds.begin(), bounds.end() - 1);
+  for (const FpRecord& r : chunk) {
+    const std::size_t at = next[range_of[r.fp.digit(digit)]]++;
+    keys[at] = r.fp;
+    vals[at] = r.vertex;
+  }
+  pool.parallel_for_chunked(
+      bounds.size() - 1,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const std::size_t len = bounds[r + 1] - bounds[r];
+          backend.sort_pairs(
+              std::span<gpu::Key128>(keys).subspan(bounds[r], len),
+              std::span<std::uint64_t>(vals).subspan(bounds[r], len),
+              nullptr);
+        }
+      },
+      1);
+  join_records(keys, vals, chunk);
+  record_sort_wall(t0);
+}
+
+/// The device ledger of merging `na` + `nb` pairs on the simulated path,
+/// issued without the device: six buffer reservations, the four uploads,
+/// the merge_pairs kernel between begin/end_kernel and the two downloads,
+/// in that order, on the next leg of `streams`.
+void charge_device_merge(gpu::Device& dev, std::size_t na, std::size_t nb,
+                         DeviceStreams& streams) {
+  constexpr std::uint64_t kKey = sizeof(gpu::Key128);
+  constexpr std::uint64_t kVal = sizeof(std::uint64_t);
+  const std::size_t n = na + nb;
+  const std::array<util::TrackedAllocation, 6> buffers{
+      dev.reserve(na * kKey), dev.reserve(na * kVal), dev.reserve(nb * kKey),
+      dev.reserve(nb * kVal), dev.reserve(n * kKey),  dev.reserve(n * kVal)};
+
+  gpu::Stream& s = streams.rotate();
+  for (const std::uint64_t bytes : {na * kKey, na * kVal, nb * kKey,
+                                    nb * kVal}) {
+    s.charge_transfer(bytes);
+  }
+  streams.begin_kernel(s);
+  const gpu::KernelCost cost = gpu::merge_pairs_cost<std::uint64_t>(n, dev);
+  s.charge_kernel(cost.bytes_moved, cost.operations);
+  streams.end_kernel(s);
+  s.charge_transfer(n * kKey);
+  s.charge_transfer(n * kVal);
+}
+
 /// Device merge of two host windows that both fit on the device together.
+/// Host backends merge the records in place of the device and issue its
+/// exact charges (charge_device_merge).
 void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
                           std::span<const FpRecord> b,
                           std::vector<FpRecord>& out,
@@ -133,6 +234,16 @@ void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
   }
   if (b.empty()) {
     std::copy(a.begin(), a.end(), out.begin());
+    return;
+  }
+
+  if (!kernel::active_backend().uses_device()) {
+    charge_device_merge(dev, a.size(), b.size(), streams);
+    // std::merge takes `a` first on ties, as merge_pairs does. The device
+    // path rewrites `pad` to 0; every record the map phase emits has 0.
+    std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), fp_less);
+    assert(std::all_of(out.begin(), out.end(),
+                       [](const FpRecord& r) { return r.pad == 0; }));
     return;
   }
 
@@ -231,12 +342,32 @@ void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
                           std::uint64_t device_block_records,
                           DeviceStreams& streams) {
   const std::size_t m_d = std::max<std::uint64_t>(2, device_block_records);
-  // Level 2a: device-sort each m_d chunk.
   std::vector<std::span<FpRecord>> runs;
   for (std::size_t off = 0; off < block.size(); off += m_d) {
-    auto run = block.subspan(off, std::min(m_d, block.size() - off));
-    device_sort_chunk(ws, run, streams);
-    runs.push_back(run);
+    runs.push_back(block.subspan(off, std::min(m_d, block.size() - off)));
+  }
+
+  // Level 2a: device-sort each m_d chunk. Host backends charge nothing
+  // here, so their chunks sort concurrently and a lone large chunk sorts
+  // by key range; while a kernel capture records, chunks sort in order.
+  kernel::Backend& backend = kernel::active_backend();
+  const bool on_host_pool = !backend.uses_device() &&
+                            kernel::CaptureSession::active() == nullptr;
+  if (on_host_pool && runs.size() > 1) {
+    util::ThreadPool::global().parallel_for_chunked(
+        runs.size(),
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            device_sort_chunk(ws, backend, runs[i], streams);
+          }
+        },
+        1);
+  } else if (on_host_pool && block.size() >= kKeyRangeSortMin) {
+    key_range_sort(backend, block);
+  } else {
+    for (const std::span<FpRecord>& run : runs) {
+      device_sort_chunk(ws, backend, run, streams);
+    }
   }
 
   // Level 2b: iterative pairwise windowed merges until one run remains.

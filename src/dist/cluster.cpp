@@ -1983,6 +1983,7 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
         for (unsigned i = 0; i < config.node_count; ++i) {
           const Payload reply = net.request(0, i, kGatherUnitigs, {});
           const std::size_t count = reply.size() / sizeof(graph::Edge);
+          if (count == 0) continue;  // an empty reply's data() may be null
           const std::size_t base = stitched.size();
           stitched.resize(base + count);
           std::memcpy(stitched.data() + base, reply.data(),
@@ -2766,6 +2767,7 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
       for (unsigned i = 0; i < config.node_count; ++i) {
         const Payload reply = net.request(0, i, kGatherEdges, {});
         std::vector<graph::Edge> edges(reply.size() / sizeof(graph::Edge));
+        if (edges.empty()) continue;  // an empty reply's data() may be null
         std::memcpy(edges.data(), reply.data(),
                     edges.size() * sizeof(graph::Edge));
         merged.import_edges(edges);

@@ -114,9 +114,13 @@ void Device::charge_transfer_on(StreamId stream, std::uint64_t bytes) {
   }
 }
 
-void Device::note_alloc(std::uint64_t bytes) {
+util::TrackedAllocation Device::reserve(std::uint64_t bytes) {
+  if (io::FaultInjector* injector = io::FaultInjector::active()) {
+    injector->on_alloc(bytes);
+  }
   gpu_counters().allocs.add(1);
   gpu_counters().alloc_bytes.add(static_cast<std::int64_t>(bytes));
+  return util::TrackedAllocation(memory_, bytes);
 }
 
 Event Device::record_event(StreamId stream) const {

@@ -94,12 +94,14 @@ class Device {
   /// io::FaultError when an installed injector fails the allocation.
   template <typename T>
   [[nodiscard]] DeviceBuffer<T> alloc(std::size_t count) {
-    if (io::FaultInjector* injector = io::FaultInjector::active()) {
-      injector->on_alloc(count * sizeof(T));
-    }
-    note_alloc(count * sizeof(T));
-    return DeviceBuffer<T>(memory_, count);
+    return DeviceBuffer<T>(reserve(count * sizeof(T)), count);
   }
+
+  /// Hold `bytes` of device capacity with no backing storage, under the
+  /// same fault hook, gpu.alloc* counters and capacity check as alloc<T>.
+  /// Host kernel backends bill the device buffers of work they run in host
+  /// memory with it, so the device ledger matches the simulated path's.
+  [[nodiscard]] util::TrackedAllocation reserve(std::uint64_t bytes);
 
   /// Largest element count of type T that fits in the remaining capacity.
   template <typename T>
@@ -196,9 +198,6 @@ class Device {
  private:
   /// Stable reference to a stream's picosecond counter (bounds-checked).
   std::atomic<std::uint64_t>& stream_clock(StreamId stream) const;
-
-  /// Metrics/trace hook for alloc<T> (non-template so it lives in the .cpp).
-  void note_alloc(std::uint64_t bytes);
 
   GpuProfile profile_;
   util::MemoryTracker memory_;

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/memory_tracker.hpp"
@@ -20,9 +21,10 @@ class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
-  /// Use Device::alloc<T>() rather than calling this directly.
-  DeviceBuffer(util::MemoryTracker& tracker, std::size_t count)
-      : allocation_(tracker, count * sizeof(T)), data_(count) {}
+  /// Use Device::alloc<T>() rather than calling this directly: it makes
+  /// the `count * sizeof(T)`-byte device reservation this buffer backs.
+  DeviceBuffer(util::TrackedAllocation allocation, std::size_t count)
+      : allocation_(std::move(allocation)), data_(count) {}
 
   DeviceBuffer(DeviceBuffer&&) noexcept = default;
   DeviceBuffer& operator=(DeviceBuffer&&) noexcept = default;

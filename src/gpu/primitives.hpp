@@ -149,6 +149,20 @@ void sort_pairs(Device& dev, std::span<Key128> keys, std::span<V> values) {
   }
 }
 
+/// Modeled cost of one kernel: bytes through device memory and operations.
+struct KernelCost {
+  std::uint64_t bytes_moved = 0;
+  std::uint64_t operations = 0;
+};
+
+/// What merge_pairs charges for `n` outputs: every pair read and written
+/// once, plus the merge-path split searches.
+template <typename V>
+KernelCost merge_pairs_cost(std::size_t n, const Device& dev) {
+  return {2 * n * (sizeof(Key128) + sizeof(V)),
+          n + detail::partition_count(n, dev) * 64};
+}
+
 /// Stable merge of two key-sorted pair sequences into `out_*`
 /// (sizes must satisfy out == a + b). Ties take from `a` first.
 template <typename V>
@@ -214,8 +228,8 @@ void merge_pairs(Device& dev, std::span<const Key128> a_keys,
     }
   });
 
-  dev.charge_kernel(2 * n * (sizeof(Key128) + sizeof(V)),
-                    n + parts * 64 /* split searches */);
+  const KernelCost cost = merge_pairs_cost<V>(n, dev);
+  dev.charge_kernel(cost.bytes_moved, cost.operations);
 }
 
 /// Exclusive prefix sum; `out` may alias `in`. Returns the total.

@@ -9,6 +9,9 @@ namespace {
 
 obs::MetricsRegistry& registry() { return obs::MetricsRegistry::global(); }
 
+/// The pool whose worker loop runs on this thread (nullptr off the pool).
+thread_local const ThreadPool* t_worker_of = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -84,7 +87,9 @@ void ThreadPool::parallel_for_chunked(
   const std::size_t chunks =
       std::clamp<std::size_t>(count / std::max<std::size_t>(grain, 1), 1,
                               size() * 4);
-  if (chunks == 1) {
+  // A pool task that fans out again runs inline: queueing sub-chunks behind
+  // itself could leave every worker waiting on work no thread will take.
+  if (chunks == 1 || t_worker_of == this) {
     body(0, count);
     return;
   }
@@ -133,6 +138,7 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     std::size_t depth = 0;

@@ -58,6 +58,7 @@ class ThreadPool {
   /// than `grain` indices (unless `count` itself is). A range that fits in
   /// one chunk runs inline on the caller and submits nothing; otherwise the
   /// caller runs the first chunk itself while the workers take the rest.
+  /// Called from one of this pool's own tasks, the whole range runs inline.
   /// If chunks throw, the first chunk's exception (lowest begin) is rethrown
   /// in the caller once every chunk has finished.
   void parallel_for_chunked(

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <random>
 
 #include "core/sort_phase.hpp"
+#include "io/fault_injector.hpp"
 #include "io/record_stream.hpp"
 #include "kernel/backend.hpp"
 #include "obs/metrics.hpp"
@@ -113,6 +115,197 @@ TEST(DeviceWindowedMerge, DisjointRunsFastPath) {
   EXPECT_EQ(merged.size(), 1000u);
   EXPECT_EQ(merged.front().fp.hi, 0u);
   EXPECT_EQ(merged.back().fp.hi, 1u);
+}
+
+/// The host backends (scalar, avx2) the running machine can execute.
+std::vector<kernel::Backend*> host_backends() {
+  std::vector<kernel::Backend*> out;
+  for (kernel::Backend* backend : kernel::all_backends()) {
+    if (backend->available() && !backend->uses_device()) {
+      out.push_back(backend);
+    }
+  }
+  return out;
+}
+
+bool same_bytes(std::span<const FpRecord> a, std::span<const FpRecord> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+/// Everything a device-windowed merge leaves behind on one backend.
+struct MergeLedger {
+  std::vector<FpRecord> merged;
+  std::vector<double> stream_seconds;
+  double modeled_seconds = 0;
+  std::int64_t alloc_bytes = 0;
+  std::int64_t transfer_bytes = 0;
+  std::int64_t kernel_ops = 0;
+  std::uint64_t device_peak = 0;
+  bool faulted = false;
+};
+
+MergeLedger merge_on(kernel::Backend& backend, std::span<const FpRecord> a,
+                     std::span<const FpRecord> b, std::uint64_t window,
+                     std::uint64_t fault_nth_alloc = 0) {
+  kernel::ScopedBackend scoped(backend);
+  TestWorkspace tw(16ull << 20);
+  io::FaultInjector injector(1);
+  if (fault_nth_alloc != 0) {
+    io::FaultPolicy policy;
+    policy.op = io::FaultOp::kAlloc;
+    policy.nth = fault_nth_alloc;
+    injector.add_policy(policy);
+  }
+  io::FaultInjector::ScopedInstall guard(fault_nth_alloc != 0 ? &injector
+                                                              : nullptr);
+  auto& registry = obs::MetricsRegistry::global();
+  const std::int64_t alloc0 = registry.value("gpu.alloc_bytes");
+  const std::int64_t transfer0 = registry.value("gpu.transfer_bytes");
+  const std::int64_t ops0 = registry.value("gpu.kernel_ops");
+
+  MergeLedger ledger;
+  try {
+    device_windowed_merge(tw.ws(), a, b, window,
+                          [&ledger](std::span<const FpRecord> part) {
+                            ledger.merged.insert(ledger.merged.end(),
+                                                 part.begin(), part.end());
+                          });
+  } catch (const io::FaultError&) {
+    ledger.faulted = true;
+  }
+  for (gpu::StreamId s = 0; s < tw.device().stream_count(); ++s) {
+    ledger.stream_seconds.push_back(tw.device().stream_seconds(s));
+  }
+  ledger.modeled_seconds = tw.device().modeled_seconds();
+  ledger.alloc_bytes = registry.value("gpu.alloc_bytes") - alloc0;
+  ledger.transfer_bytes = registry.value("gpu.transfer_bytes") - transfer0;
+  ledger.kernel_ops = registry.value("gpu.kernel_ops") - ops0;
+  ledger.device_peak = tw.device().memory().peak();
+  return ledger;
+}
+
+void expect_same_ledger(const MergeLedger& want, const MergeLedger& got,
+                        std::string_view backend) {
+  SCOPED_TRACE(std::string(backend));
+  EXPECT_TRUE(same_bytes(want.merged, got.merged));
+  EXPECT_EQ(want.stream_seconds, got.stream_seconds);
+  EXPECT_EQ(want.modeled_seconds, got.modeled_seconds);
+  EXPECT_EQ(want.alloc_bytes, got.alloc_bytes);
+  EXPECT_EQ(want.transfer_bytes, got.transfer_bytes);
+  EXPECT_EQ(want.kernel_ops, got.kernel_ops);
+  EXPECT_EQ(want.device_peak, got.device_peak);
+  EXPECT_EQ(want.faulted, got.faulted);
+}
+
+/// Two sorted, duplicate-heavy runs (hi = 0, 64 distinct keys) whose
+/// vertex ids tell the runs apart, so a tie taken from the wrong side
+/// changes the output bytes.
+std::pair<std::vector<FpRecord>, std::vector<FpRecord>> duplicate_runs(
+    std::size_t na, std::size_t nb) {
+  auto a = random_records(na, 21, 63);
+  auto b = random_records(nb, 22, 63);
+  for (auto& r : a) r.fp.hi = 0;
+  for (auto& r : b) {
+    r.fp.hi = 0;
+    r.vertex += 1u << 24;
+  }
+  std::stable_sort(a.begin(), a.end(), fp_less);
+  std::stable_sort(b.begin(), b.end(), fp_less);
+  return {std::move(a), std::move(b)};
+}
+
+TEST(DeviceWindowedMerge, HostBackendsMatchSimulatedLedger) {
+  // Host backends merge in host memory but must leave the device exactly
+  // as the simulated path does: same bytes out, same per-stream clocks,
+  // same gpu.* counters and the same device memory high-water.
+  const auto [a, b] = duplicate_runs(40000, 30000);
+  for (const std::uint64_t window : {std::uint64_t{1024},
+                                     std::uint64_t{64 * 1024}}) {
+    SCOPED_TRACE(window);
+    const MergeLedger want =
+        merge_on(kernel::simulated_backend(), a, b, window);
+    ASSERT_EQ(want.merged.size(), a.size() + b.size());
+    EXPECT_TRUE(is_sorted_by_fp(want.merged));
+    EXPECT_GT(want.kernel_ops, 0);
+    for (kernel::Backend* backend : host_backends()) {
+      expect_same_ledger(want, merge_on(*backend, a, b, window),
+                         backend->name());
+    }
+  }
+}
+
+TEST(DeviceWindowedMerge, AllocFaultFiresAtTheSameWindow) {
+  // Six device buffers per merged window: the 6*5+3rd reservation fails in
+  // the middle of the sixth device merge on every backend.
+  const auto [a, b] = duplicate_runs(20000, 20000);
+  const MergeLedger want =
+      merge_on(kernel::simulated_backend(), a, b, 1024, 6 * 5 + 3);
+  ASSERT_TRUE(want.faulted);
+  EXPECT_GT(want.merged.size(), 0u);
+  for (kernel::Backend* backend : host_backends()) {
+    expect_same_ledger(want, merge_on(*backend, a, b, 1024, 6 * 5 + 3),
+                       backend->name());
+  }
+}
+
+TEST(SortHostBlock, HostKeyRangeSplitMatchesSimulated) {
+  // One chunk above the key-range split threshold: host backends scatter
+  // by the most significant non-degenerate digit and sort the ranges on
+  // the pool. The output must equal the simulated device sort byte for
+  // byte, including when the top digits of every key are equal, when one
+  // digit value holds most keys, and when every key is the same.
+  constexpr std::size_t kRecords = 40000;
+  auto full = random_records(kRecords, 31);
+  auto low_digits = random_records(kRecords, 32, 4095);
+  for (auto& r : low_digits) {
+    r.fp.hi = 0x0123456789abcdefull;
+    r.fp.lo |= 0xfedcba9876540000ull;
+  }
+  auto skewed = random_records(kRecords, 33, 1023);
+  for (std::size_t i = 0; i < skewed.size(); ++i) {
+    skewed[i].fp.hi = i % 10 == 0 ? skewed[i].fp.lo << 54 : 0;
+  }
+  auto equal = random_records(kRecords, 34);
+  for (auto& r : equal) r.fp = gpu::Key128{7, 7};
+
+  for (const auto* input : {&full, &low_digits, &skewed, &equal}) {
+    std::vector<FpRecord> want = *input;
+    {
+      kernel::ScopedBackend scoped(kernel::simulated_backend());
+      TestWorkspace tw(16ull << 20);
+      sort_host_block(tw.ws(), want, 64 * 1024);
+    }
+    ASSERT_TRUE(is_sorted_by_fp(want));
+    for (kernel::Backend* backend : host_backends()) {
+      SCOPED_TRACE(std::string(backend->name()));
+      kernel::ScopedBackend scoped(*backend);
+      TestWorkspace tw(16ull << 20);
+      std::vector<FpRecord> got = *input;
+      sort_host_block(tw.ws(), got, 64 * 1024);
+      EXPECT_TRUE(same_bytes(want, got));
+    }
+  }
+}
+
+TEST(SortHostBlock, HostChunkFanOutMatchesSimulated) {
+  // Many device chunks sorted concurrently on the pool, then merged on the
+  // host: byte-identical to the simulated device's sequential sort.
+  auto records = random_records(30000, 35, 511);
+  std::vector<FpRecord> want = records;
+  {
+    kernel::ScopedBackend scoped(kernel::simulated_backend());
+    TestWorkspace tw;
+    sort_host_block(tw.ws(), want, 1024);
+  }
+  for (kernel::Backend* backend : host_backends()) {
+    SCOPED_TRACE(std::string(backend->name()));
+    kernel::ScopedBackend scoped(*backend);
+    TestWorkspace tw;
+    std::vector<FpRecord> got = records;
+    sort_host_block(tw.ws(), got, 1024);
+    EXPECT_TRUE(same_bytes(want, got));
+  }
 }
 
 class ExternalSort

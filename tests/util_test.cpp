@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -278,6 +281,38 @@ TEST(ThreadPool, ChunksRespectGrain) {
       EXPECT_EQ(next, count);
     }
   }
+}
+
+TEST(ThreadPool, NestedCallsFromPoolTasksRunInline) {
+  // Every outer chunk runs an inner loop on the same 2-worker pool. If the
+  // workers queued their inner chunks and waited, both would block on work
+  // no thread is free to take; inside a pool task the inner loop runs
+  // inline instead. The watchdog turns a regression into a failure.
+  ThreadPool pool(2);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 1000;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  auto run = std::async(std::launch::async, [&] {
+    pool.parallel_for_chunked(
+        kOuter,
+        [&](std::size_t ob, std::size_t oe) {
+          for (std::size_t o = ob; o < oe; ++o) {
+            pool.parallel_for_chunked(kInner, [&](std::size_t b,
+                                                  std::size_t e) {
+              for (std::size_t i = b; i < e; ++i) {
+                hits[o * kInner + i].fetch_add(1);
+              }
+            });
+          }
+        },
+        1);
+  });
+  if (run.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "nested parallel_for_chunked deadlocked\n");
+    std::abort();  // the pool's workers can never be joined
+  }
+  run.get();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(RunStats, TotalsAndLookup) {
