@@ -25,6 +25,7 @@
 #include "bench_common.hpp"
 #include "fingerprint/kernels.hpp"
 #include "gpu/device.hpp"
+#include "gpu/stream.hpp"
 #include "kernel/backend.hpp"
 #include "kernel/cpu_features.hpp"
 #include "seq/genome.hpp"
@@ -178,7 +179,8 @@ int main(int argc, char** argv) {
     // histograms/counters never bleed into the next backend's cell.
     bench::ScopedMetricsCell metrics_cell;
     gpu::Device device(gpu::GpuProfile::k40(), 512ull << 20);
-    kernel::DeviceContext ctx{&device, nullptr, false};
+    gpu::StreamPair sync(device, false);
+    kernel::DeviceContext ctx{&device, &sync, false};
     const std::string name(backend->name());
 
     // -- fingerprint --------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "dist/cluster.hpp"
 #include "gpu/profile.hpp"
 #include "io/fault_injector.hpp"
+#include "kernel/backend.hpp"
 #include "kernel/dump.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -230,6 +231,10 @@ int main(int argc, char** argv) {
       cluster.resume = config.resume;
       cluster.reduce_strategy = reduce;
       cluster.graph = config.graph;
+      // Every node's kernels run on the selected backend, as in the
+      // single-node pipeline.
+      const kernel::ScopedBackend backend(
+          kernel::resolve_backend(config.kernel_backend));
       const dist::DistributedResult result =
           dist::run_distributed(argv[1], argv[2], cluster);
       if (!trace_out.empty()) {

@@ -69,13 +69,12 @@ void record_sort_wall(std::chrono::steady_clock::time_point start) {
                      .count());
 }
 
-/// Device radix sort of one chunk (must fit m_d). The H2D/sort/D2H legs
-/// charge the chunk's stream; alternating chunks across the two legs models
-/// transfers hidden behind the neighbouring chunk's kernel.
+/// Radix sort of one chunk (must fit m_d) on `backend`. On the simulated
+/// device the chunk takes the next leg of `streams`, so alternating chunks
+/// hide their transfers behind the neighbouring chunk's kernel.
 void device_sort_chunk(Workspace& ws, kernel::Backend& backend,
                        std::span<FpRecord> chunk, DeviceStreams& streams) {
   if (chunk.size() < 2) return;
-  gpu::Device& dev = *ws.device;
 
   std::vector<gpu::Key128> keys;
   std::vector<std::uint64_t> vals;
@@ -90,30 +89,8 @@ void device_sort_chunk(Workspace& ws, kernel::Backend& backend,
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (!backend.uses_device()) {
-    // Host backend (scalar/avx2): sort in place on the host split; same
-    // stable LSD permutation, so records land byte-identically.
-    backend.sort_pairs(keys, vals, nullptr);
-  } else {
-    auto d_keys = dev.alloc<gpu::Key128>(chunk.size());
-    auto d_vals = dev.alloc<std::uint64_t>(chunk.size());
-    gpu::Stream& s = streams.rotate();
-    s.copy_to_device_async(std::span<const gpu::Key128>(keys), d_keys.span());
-    s.copy_to_device_async(std::span<const std::uint64_t>(vals),
-                           d_vals.span());
-
-    streams.begin_kernel(s);  // one compute engine: kernels serialize
-    {
-      gpu::StreamScope scope(dev, s);
-      gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
-    }
-    streams.end_kernel(s);
-
-    s.copy_to_host_async(std::span<const gpu::Key128>(d_keys.span()),
-                         std::span<gpu::Key128>(keys));
-    s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
-                         std::span<std::uint64_t>(vals));
-  }
+  kernel::DeviceContext ctx{ws.device, &streams};
+  backend.sort_pairs(keys, vals, &ctx);
   record_sort_wall(t0);
 
   if (capture != nullptr) {
@@ -193,10 +170,10 @@ void key_range_sort(kernel::Backend& backend, std::span<FpRecord> chunk) {
   record_sort_wall(t0);
 }
 
-/// The device ledger of merging `na` + `nb` pairs on the simulated path,
-/// issued without the device: six buffer reservations, the four uploads,
-/// the merge_pairs kernel between begin/end_kernel and the two downloads,
-/// in that order, on the next leg of `streams`.
+/// The device ledger of merging `na` + `nb` pairs with gpu::merge_pairs,
+/// issued without running it: six buffer reservations, the four uploads,
+/// the kernel between begin/end_kernel and the two downloads, in that
+/// order, on the next leg of `streams`.
 void charge_device_merge(gpu::Device& dev, std::size_t na, std::size_t nb,
                          DeviceStreams& streams) {
   constexpr std::uint64_t kKey = sizeof(gpu::Key128);
@@ -219,14 +196,13 @@ void charge_device_merge(gpu::Device& dev, std::size_t na, std::size_t nb,
   s.charge_transfer(n * kVal);
 }
 
-/// Device merge of two host windows that both fit on the device together.
-/// Host backends merge the records in place of the device and issue its
-/// exact charges (charge_device_merge).
+/// Merge of two host windows that both fit on the device together. On
+/// every backend the records merge on the host and the device is charged
+/// the device merge's exact ledger (charge_device_merge).
 void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
                           std::span<const FpRecord> b,
                           std::vector<FpRecord>& out,
                           DeviceStreams& streams) {
-  gpu::Device& dev = *ws.device;
   out.resize(a.size() + b.size());
   if (a.empty()) {
     std::copy(b.begin(), b.end(), out.begin());
@@ -237,54 +213,13 @@ void device_merge_windows(Workspace& ws, std::span<const FpRecord> a,
     return;
   }
 
-  if (!kernel::active_backend().uses_device()) {
-    charge_device_merge(dev, a.size(), b.size(), streams);
-    // std::merge takes `a` first on ties, as merge_pairs does. The device
-    // path rewrites `pad` to 0; every record the map phase emits has 0.
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), fp_less);
-    assert(std::all_of(out.begin(), out.end(),
-                       [](const FpRecord& r) { return r.pad == 0; }));
-    return;
-  }
-
-  std::vector<gpu::Key128> keys_a;
-  std::vector<std::uint64_t> vals_a;
-  std::vector<gpu::Key128> keys_b;
-  std::vector<std::uint64_t> vals_b;
-  split_records(a, keys_a, vals_a);
-  split_records(b, keys_b, vals_b);
-
-  auto d_ka = dev.alloc<gpu::Key128>(a.size());
-  auto d_va = dev.alloc<std::uint64_t>(a.size());
-  auto d_kb = dev.alloc<gpu::Key128>(b.size());
-  auto d_vb = dev.alloc<std::uint64_t>(b.size());
-  auto d_ko = dev.alloc<gpu::Key128>(out.size());
-  auto d_vo = dev.alloc<std::uint64_t>(out.size());
-
-  gpu::Stream& s = streams.rotate();
-  s.copy_to_device_async(std::span<const gpu::Key128>(keys_a), d_ka.span());
-  s.copy_to_device_async(std::span<const std::uint64_t>(vals_a),
-                         d_va.span());
-  s.copy_to_device_async(std::span<const gpu::Key128>(keys_b), d_kb.span());
-  s.copy_to_device_async(std::span<const std::uint64_t>(vals_b),
-                         d_vb.span());
-
-  streams.begin_kernel(s);
-  {
-    gpu::StreamScope scope(dev, s);
-    gpu::merge_pairs<std::uint64_t>(
-        dev, d_ka.span(), d_va.span(), d_kb.span(), d_vb.span(), d_ko.span(),
-        d_vo.span());
-  }
-  streams.end_kernel(s);
-
-  std::vector<gpu::Key128> keys_out(out.size());
-  std::vector<std::uint64_t> vals_out(out.size());
-  s.copy_to_host_async(std::span<const gpu::Key128>(d_ko.span()),
-                       std::span<gpu::Key128>(keys_out));
-  s.copy_to_host_async(std::span<const std::uint64_t>(d_vo.span()),
-                       std::span<std::uint64_t>(vals_out));
-  join_records(keys_out, vals_out, out);
+  charge_device_merge(*ws.device, a.size(), b.size(), streams);
+  // std::merge takes `a` first on ties, as merge_pairs does. A device
+  // round trip would rewrite `pad` to 0; every record the map phase emits
+  // has 0.
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), fp_less);
+  assert(std::all_of(out.begin(), out.end(),
+                     [](const FpRecord& r) { return r.pad == 0; }));
 }
 
 void device_windowed_merge_impl(

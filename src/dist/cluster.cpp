@@ -2389,14 +2389,12 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
           // across nodes — the model takes the max) and gather proposals
           // at the master.
           double rescan_max = 0.0;
-          std::uint64_t rescan_total = 0;
           unsigned rescan_arg = 0;  ///< dirty node whose rescan binds the max
           std::vector<std::vector<SpecProposal>> per_domain;
           per_domain.reserve(dirty.size());
           for (const unsigned n : dirty) {
             std::uint64_t rescanned = 0;
             per_domain.push_back(resolver.speculate(n, &rescanned));
-            rescan_total += rescanned;
             // A local replay probes the committed bits and the speculative
             // overlay — no stores — so it runs at probe speed.
             const double rescan_seconds =
@@ -2463,18 +2461,6 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
                   static_cast<std::int64_t>(report.conflicts)},
                  {"deferred",
                   static_cast<std::int64_t>(report.deferred)}});
-          }
-          if (std::getenv("LASAGNA_SPEC_DEBUG") != nullptr) {
-            std::fprintf(stderr,
-                         "[spec round %u] dirty=%zu rescanned=%llu "
-                         "proposals=%llu conflicts=%llu deferred=%llu "
-                         "rescan_max=%.4f apply=%.4f\n",
-                         report.round, dirty.size(),
-                         static_cast<unsigned long long>(rescan_total),
-                         static_cast<unsigned long long>(report.proposals),
-                         static_cast<unsigned long long>(report.conflicts),
-                         static_cast<unsigned long long>(report.deferred),
-                         rescan_max, apply_seconds);
           }
           if (obs::Profiler* prof = obs::Profiler::active()) {
             // The round waits on the slowest dirty node's rescan (parallel
@@ -2546,16 +2532,6 @@ DistributedResult run_distributed(const std::filesystem::path& fastq,
         // master's engines; their exposed time is the incast wait.
         prof->chain(0, "network", "incast-wait",
                     to_ps(net.modeled_seconds(0)));
-      }
-      if (std::getenv("LASAGNA_SPEC_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "[spec] nodes=%u scan=%.4f clock=%.4f net0=%.4f "
-                     "supersteps=%u rounds=%u conflicts=%llu "
-                     "proposals=%llu\n",
-                     config.node_count, scan_seconds, clock,
-                     net.modeled_seconds(0), supersteps, resolver.rounds(),
-                     static_cast<unsigned long long>(conflicts_total),
-                     static_cast<unsigned long long>(proposals_total));
       }
       phase.resumed = parts_total.load() > 0 &&
                       parts_restored.load() == parts_total.load();

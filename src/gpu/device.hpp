@@ -99,8 +99,8 @@ class Device {
 
   /// Hold `bytes` of device capacity with no backing storage, under the
   /// same fault hook, gpu.alloc* counters and capacity check as alloc<T>.
-  /// Host kernel backends bill the device buffers of work they run in host
-  /// memory with it, so the device ledger matches the simulated path's.
+  /// The sort's merge windows bill the device buffers of the merge they
+  /// run in host memory with it, so the ledger matches a device merge's.
   [[nodiscard]] util::TrackedAllocation reserve(std::uint64_t bytes);
 
   /// Largest element count of type T that fits in the remaining capacity.

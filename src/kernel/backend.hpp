@@ -22,6 +22,7 @@
 // backend's output — and therefore every dump — directly byte-comparable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "fingerprint/rabin_karp.hpp"
+#include "gpu/device_buffer.hpp"
 #include "gpu/key128.hpp"
 
 namespace lasagna::gpu {
@@ -48,14 +50,34 @@ enum class KernelId : std::uint32_t {
 
 [[nodiscard]] const char* kernel_name(KernelId id);
 
-/// Device context for backends that execute on the simulated GPU: the
-/// device to charge and (optionally) a stream pair for double-buffered
-/// batches plus the block-per-read vs thread-per-read strategy choice.
-/// Host backends ignore it.
+/// The four device buffers a simulated match_bounds stages through: the
+/// needle and haystack uploads and the two bound downloads. A caller that
+/// matches many windows (the reduce) allocates one set sized to its window
+/// and passes it in the DeviceContext; otherwise the backend allocates a
+/// set sized to the call. Either way the allocation order is this one.
+struct MatchBuffers {
+  MatchBuffers(gpu::Device& device, std::size_t needle_count,
+               std::size_t haystack_count);
+
+  gpu::DeviceBuffer<gpu::Key128> needles;
+  gpu::DeviceBuffer<gpu::Key128> haystack;
+  gpu::DeviceBuffer<std::uint32_t> lower;
+  gpu::DeviceBuffer<std::uint32_t> upper;
+};
+
+/// Where a simulated-device kernel runs. `device` is charged. Each call
+/// takes the next leg of `streams`, so double-buffered callers overlap one
+/// call's transfers with the neighbouring call's kernel; a null `streams`
+/// means a synchronous pair, both legs on the default stream.
+/// `thread_per_read` picks the naive fingerprint strategy over the
+/// block-per-read scan, and `match_buffers` are caller-owned match_bounds
+/// buffers. Host backends ignore the context; pipeline call sites pass it
+/// whatever the backend.
 struct DeviceContext {
   gpu::Device* device = nullptr;
   gpu::StreamPair* streams = nullptr;
   bool thread_per_read = false;
+  MatchBuffers* match_buffers = nullptr;
 };
 
 /// One fingerprint-generation workload: a batch of encoded reads
@@ -91,7 +113,7 @@ class Backend {
   [[nodiscard]] virtual bool available() const = 0;
 
   /// True when the backend executes on the simulated device and charges
-  /// its modeled clock (callers must then pass a DeviceContext).
+  /// its modeled clock (it then needs a DeviceContext with a device).
   [[nodiscard]] virtual bool uses_device() const { return false; }
 
   virtual void fingerprint(const FingerprintJob& job,

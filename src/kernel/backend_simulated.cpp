@@ -3,17 +3,19 @@
 // reference implementation every other backend is byte-compared against,
 // and the one the pipeline uses by default.
 //
-// The fingerprint kernels moved here verbatim from fingerprint/kernels.cpp:
-// the block-per-read Hillis-Steele prefix scan + suffix derivation (paper
-// Figs 5/6) and the naive thread-per-read rolling hash (charged the
-// uncoalesced-transaction penalty the paper's "excessive memory throttling"
-// corresponds to). match_bounds and sort_pairs wrap the device primitives
-// (gpu/primitives.hpp) with the alloc/H2D/kernel/D2H sequence the pipeline
-// performs — the pipeline's own device dispatch sites keep their inline,
-// buffer-reusing versions (see DESIGN.md), so these wrappers serve replay
-// and benchmarking.
+// The fingerprint kernels are the block-per-read Hillis-Steele prefix scan
+// + suffix derivation (paper Figs 5/6) and the naive thread-per-read
+// rolling hash (charged the uncoalesced-transaction penalty the paper's
+// "excessive memory throttling" corresponds to). match_bounds and
+// sort_pairs run the device primitives (gpu/primitives.hpp). Every kernel
+// has one device sequence, shared by the pipeline, replay and benchmarks:
+// allocate, take the next leg of the context's stream pair, upload on that
+// leg, run the kernel between begin_kernel/end_kernel under a StreamScope,
+// download on that leg. A context without a stream pair runs on a
+// synchronous pair, whose legs alias the default stream.
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "gpu/device.hpp"
@@ -117,7 +119,7 @@ void download(gpu::Device& dev, const FingerprintJob& job,
 }
 
 void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
-                        gpu::StreamPair* streams, gpu::Stream* stream) {
+                        gpu::StreamPair& streams, gpu::Stream& stream) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
 
@@ -129,7 +131,7 @@ void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
   // one output staging array per hash function.
   const std::size_t shared_bytes = static_cast<std::size_t>(stride) * 8 * 3;
 
-  if (streams != nullptr) streams->begin_kernel(*stream);
+  streams.begin_kernel(stream);
   dev.launch(job.count, stride, shared_bytes, [&](gpu::BlockContext& ctx) {
     const unsigned r = ctx.block_idx();
     const unsigned len = batch.lengths[r];
@@ -172,13 +174,13 @@ void run_block_per_read(gpu::Device& dev, const FingerprintJob& job,
   const unsigned steps = stride <= 1 ? 1 : std::bit_width(stride - 1);
   dev.charge_kernel(total * (1 + 2 * sizeof(Key128)),
                     static_cast<std::uint64_t>(total) * steps * 2 * 2);
-  if (streams != nullptr) streams->end_kernel(*stream);
+  streams.end_kernel(stream);
 
   download(dev, job, d_prefix, d_suffix);
 }
 
 void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
-                         gpu::StreamPair* streams, gpu::Stream* stream) {
+                         gpu::StreamPair& streams, gpu::Stream& stream) {
   const unsigned stride = job.stride;
   const std::size_t total = static_cast<std::size_t>(job.count) * stride;
 
@@ -190,7 +192,7 @@ void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
   // size is an arbitrary tiling of the read array.
   constexpr unsigned kBlock = 128;
   const unsigned blocks = (job.count + kBlock - 1) / kBlock;
-  if (streams != nullptr) streams->begin_kernel(*stream);
+  streams.begin_kernel(stream);
   dev.launch(blocks, kBlock, 0, [&](gpu::BlockContext& ctx) {
     ctx.for_each_thread([&](unsigned tid) {
       const std::size_t r =
@@ -233,9 +235,16 @@ void run_thread_per_read(gpu::Device& dev, const FingerprintJob& job,
   dev.charge_kernel(
       kUncoalescedPenalty * total * (1 + 2 * sizeof(Key128)),
       static_cast<std::uint64_t>(total) * 2 * 2);
-  if (streams != nullptr) streams->end_kernel(*stream);
+  streams.end_kernel(stream);
 
   download(dev, job, d_prefix, d_suffix);
+}
+
+/// The context's stream pair, or `sync` built as a synchronous pair.
+gpu::StreamPair& streams_of(const DeviceContext& ctx,
+                            std::optional<gpu::StreamPair>& sync) {
+  if (ctx.streams != nullptr) return *ctx.streams;
+  return sync.emplace(*ctx.device, false);
 }
 
 class SimulatedBackend final : public Backend {
@@ -247,23 +256,14 @@ class SimulatedBackend final : public Backend {
   void fingerprint(const FingerprintJob& job, DeviceContext* ctx) override {
     gpu::Device& dev = require_device(ctx);
     if (job.count == 0) return;
-    if (ctx->streams == nullptr) {
-      if (ctx->thread_per_read) {
-        run_thread_per_read(dev, job, nullptr, nullptr);
-      } else {
-        run_block_per_read(dev, job, nullptr, nullptr);
-      }
-      return;
-    }
-    // Double-buffered: batch i charges leg i % 2, so its transfers overlap
-    // the neighbouring batch's kernel while kernels serialize via the
-    // pair's event.
-    gpu::Stream& s = ctx->streams->rotate();
+    std::optional<gpu::StreamPair> sync;
+    gpu::StreamPair& streams = streams_of(*ctx, sync);
+    gpu::Stream& s = streams.rotate();
     gpu::StreamScope scope(dev, s);
     if (ctx->thread_per_read) {
-      run_thread_per_read(dev, job, ctx->streams, &s);
+      run_thread_per_read(dev, job, streams, s);
     } else {
-      run_block_per_read(dev, job, ctx->streams, &s);
+      run_block_per_read(dev, job, streams, s);
     }
   }
 
@@ -277,16 +277,34 @@ class SimulatedBackend final : public Backend {
       throw std::invalid_argument("match_bounds: output size mismatch");
     }
     if (needles.empty()) return;
-    auto d_sfx = dev.alloc<Key128>(needles.size());
-    auto d_pfx = dev.alloc<Key128>(haystack.size());
-    auto d_lower = dev.alloc<std::uint32_t>(needles.size());
-    auto d_upper = dev.alloc<std::uint32_t>(needles.size());
-    dev.copy_to_device(needles, d_sfx.span());
-    dev.copy_to_device(haystack, d_pfx.span());
-    gpu::vector_lower_bound(dev, d_sfx.span(), d_pfx.span(), d_lower.span());
-    gpu::vector_upper_bound(dev, d_sfx.span(), d_pfx.span(), d_upper.span());
-    dev.copy_to_host(std::span<const std::uint32_t>(d_lower.span()), lower);
-    dev.copy_to_host(std::span<const std::uint32_t>(d_upper.span()), upper);
+    std::optional<MatchBuffers> own;
+    MatchBuffers& buffers =
+        ctx->match_buffers != nullptr
+            ? *ctx->match_buffers
+            : own.emplace(dev, needles.size(), haystack.size());
+    if (buffers.needles.size() < needles.size() ||
+        buffers.haystack.size() < haystack.size()) {
+      throw std::invalid_argument("match_bounds: buffers too small");
+    }
+    const auto d_sfx = buffers.needles.first(needles.size());
+    const auto d_pfx = buffers.haystack.first(haystack.size());
+    const auto d_lower = buffers.lower.first(needles.size());
+    const auto d_upper = buffers.upper.first(needles.size());
+
+    std::optional<gpu::StreamPair> sync;
+    gpu::StreamPair& streams = streams_of(*ctx, sync);
+    gpu::Stream& s = streams.rotate();
+    s.copy_to_device_async(needles, d_sfx);
+    s.copy_to_device_async(haystack, d_pfx);
+    streams.begin_kernel(s);  // one compute engine: kernels serialize
+    {
+      gpu::StreamScope scope(dev, s);
+      gpu::vector_lower_bound(dev, d_sfx, d_pfx, d_lower);
+      gpu::vector_upper_bound(dev, d_sfx, d_pfx, d_upper);
+    }
+    streams.end_kernel(s);
+    s.copy_to_host_async(std::span<const std::uint32_t>(d_lower), lower);
+    s.copy_to_host_async(std::span<const std::uint32_t>(d_upper), upper);
   }
 
   void sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values,
@@ -298,11 +316,22 @@ class SimulatedBackend final : public Backend {
     if (keys.size() < 2) return;
     auto d_keys = dev.alloc<Key128>(keys.size());
     auto d_vals = dev.alloc<std::uint64_t>(values.size());
-    dev.copy_to_device(std::span<const Key128>(keys), d_keys.span());
-    dev.copy_to_device(std::span<const std::uint64_t>(values), d_vals.span());
-    gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
-    dev.copy_to_host(std::span<const Key128>(d_keys.span()), keys);
-    dev.copy_to_host(std::span<const std::uint64_t>(d_vals.span()), values);
+
+    std::optional<gpu::StreamPair> sync;
+    gpu::StreamPair& streams = streams_of(*ctx, sync);
+    gpu::Stream& s = streams.rotate();
+    s.copy_to_device_async(std::span<const Key128>(keys), d_keys.span());
+    s.copy_to_device_async(std::span<const std::uint64_t>(values),
+                           d_vals.span());
+    streams.begin_kernel(s);  // one compute engine: kernels serialize
+    {
+      gpu::StreamScope scope(dev, s);
+      gpu::sort_pairs<std::uint64_t>(dev, d_keys.span(), d_vals.span());
+    }
+    streams.end_kernel(s);
+    s.copy_to_host_async(std::span<const Key128>(d_keys.span()), keys);
+    s.copy_to_host_async(std::span<const std::uint64_t>(d_vals.span()),
+                         values);
   }
 
  private:
@@ -316,6 +345,13 @@ class SimulatedBackend final : public Backend {
 };
 
 }  // namespace
+
+MatchBuffers::MatchBuffers(gpu::Device& device, std::size_t needle_count,
+                           std::size_t haystack_count)
+    : needles(device.alloc<gpu::Key128>(needle_count)),
+      haystack(device.alloc<gpu::Key128>(haystack_count)),
+      lower(device.alloc<std::uint32_t>(needle_count)),
+      upper(device.alloc<std::uint32_t>(needle_count)) {}
 
 Backend& simulated_backend() {
   static SimulatedBackend backend;

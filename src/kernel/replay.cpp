@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "gpu/device.hpp"
+#include "gpu/stream.hpp"
 #include "kernel/dump.hpp"
 #include "util/modmath.hpp"
 
@@ -148,9 +149,10 @@ ReplayReport replay_dump(const std::filesystem::path& dir, Backend& backend,
   if (repeat == 0) repeat = 1;
   ReplayReport report;
   // The simulated backend replays on a fresh device so its modeled clock
-  // is attributable to the dump alone.
+  // is attributable to the dump alone, synchronously on its default stream.
   gpu::Device device;
-  DeviceContext ctx{&device, nullptr, false};
+  gpu::StreamPair sync(device, false);
+  DeviceContext ctx{&device, &sync, false};
 
   for (const KernelId id : {KernelId::kFingerprint, KernelId::kMatchBounds,
                             KernelId::kSortPairs}) {

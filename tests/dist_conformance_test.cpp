@@ -13,6 +13,7 @@
 #include "core/pipeline.hpp"
 #include "dist/cluster.hpp"
 #include "io/tempdir.hpp"
+#include "kernel/backend.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
 #include "tie_corpus.hpp"
@@ -197,6 +198,21 @@ TEST_F(DistConformance, SpeculativeStreamed) {
 TEST_F(DistConformance, SpeculativeSynchronous) {
   for (const unsigned nodes : {2u, 8u}) {  // sampled: strategy x streamed
     check_matrix_point(nodes, ReduceStrategy::kSpeculative, false);
+  }
+}
+
+TEST_F(DistConformance, HostKernelBackendsAtFourNodes) {
+  // Every node's kernels on a host backend: contigs and edge counts still
+  // equal the single-node simulated-device baseline.
+  std::vector<kernel::Backend*> backends = {&kernel::scalar_backend()};
+  if (kernel::avx2_backend().available()) {
+    backends.push_back(&kernel::avx2_backend());
+  }
+  for (kernel::Backend* backend : backends) {
+    SCOPED_TRACE(std::string(backend->name()));
+    const kernel::ScopedBackend scoped(*backend);
+    check_matrix_point(4, ReduceStrategy::kLengthToken, true);
+    check_matrix_point(4, ReduceStrategy::kSpeculative, true);
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <random>
+#include <sstream>
 
+#include "core/reduce_phase.hpp"
 #include "core/sort_phase.hpp"
 #include "io/fault_injector.hpp"
 #include "io/record_stream.hpp"
@@ -133,9 +137,8 @@ bool same_bytes(std::span<const FpRecord> a, std::span<const FpRecord> b) {
          std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
 }
 
-/// Everything a device-windowed merge leaves behind on one backend.
-struct MergeLedger {
-  std::vector<FpRecord> merged;
+/// Everything a run leaves on the device's ledger.
+struct DeviceLedger {
   std::vector<double> stream_seconds;
   double modeled_seconds = 0;
   std::int64_t alloc_bytes = 0;
@@ -145,11 +148,15 @@ struct MergeLedger {
   bool faulted = false;
 };
 
-MergeLedger merge_on(kernel::Backend& backend, std::span<const FpRecord> a,
-                     std::span<const FpRecord> b, std::uint64_t window,
-                     std::uint64_t fault_nth_alloc = 0) {
+/// Runs `body` on a fresh workspace with a `device_bytes` device and
+/// `backend` active; a nonzero `fault_nth_alloc` fails that device
+/// allocation.
+DeviceLedger measure_ledger(
+    kernel::Backend& backend, std::uint64_t device_bytes,
+    std::uint64_t fault_nth_alloc,
+    const std::function<void(TestWorkspace&)>& body) {
   kernel::ScopedBackend scoped(backend);
-  TestWorkspace tw(16ull << 20);
+  TestWorkspace tw(device_bytes);
   io::FaultInjector injector(1);
   if (fault_nth_alloc != 0) {
     io::FaultPolicy policy;
@@ -164,13 +171,9 @@ MergeLedger merge_on(kernel::Backend& backend, std::span<const FpRecord> a,
   const std::int64_t transfer0 = registry.value("gpu.transfer_bytes");
   const std::int64_t ops0 = registry.value("gpu.kernel_ops");
 
-  MergeLedger ledger;
+  DeviceLedger ledger;
   try {
-    device_windowed_merge(tw.ws(), a, b, window,
-                          [&ledger](std::span<const FpRecord> part) {
-                            ledger.merged.insert(ledger.merged.end(),
-                                                 part.begin(), part.end());
-                          });
+    body(tw);
   } catch (const io::FaultError&) {
     ledger.faulted = true;
   }
@@ -185,10 +188,7 @@ MergeLedger merge_on(kernel::Backend& backend, std::span<const FpRecord> a,
   return ledger;
 }
 
-void expect_same_ledger(const MergeLedger& want, const MergeLedger& got,
-                        std::string_view backend) {
-  SCOPED_TRACE(std::string(backend));
-  EXPECT_TRUE(same_bytes(want.merged, got.merged));
+void expect_same_ledger(const DeviceLedger& want, const DeviceLedger& got) {
   EXPECT_EQ(want.stream_seconds, got.stream_seconds);
   EXPECT_EQ(want.modeled_seconds, got.modeled_seconds);
   EXPECT_EQ(want.alloc_bytes, got.alloc_bytes);
@@ -196,6 +196,35 @@ void expect_same_ledger(const MergeLedger& want, const MergeLedger& got,
   EXPECT_EQ(want.kernel_ops, got.kernel_ops);
   EXPECT_EQ(want.device_peak, got.device_peak);
   EXPECT_EQ(want.faulted, got.faulted);
+}
+
+/// A device-windowed merge's output and ledger on one backend.
+struct MergeLedger {
+  std::vector<FpRecord> merged;
+  DeviceLedger device;
+};
+
+MergeLedger merge_on(kernel::Backend& backend, std::span<const FpRecord> a,
+                     std::span<const FpRecord> b, std::uint64_t window,
+                     std::uint64_t fault_nth_alloc = 0) {
+  MergeLedger ledger;
+  ledger.device = measure_ledger(
+      backend, 16ull << 20, fault_nth_alloc, [&](TestWorkspace& tw) {
+        device_windowed_merge(tw.ws(), a, b, window,
+                              [&ledger](std::span<const FpRecord> part) {
+                                ledger.merged.insert(ledger.merged.end(),
+                                                     part.begin(),
+                                                     part.end());
+                              });
+      });
+  return ledger;
+}
+
+void expect_same_ledger(const MergeLedger& want, const MergeLedger& got,
+                        std::string_view backend) {
+  SCOPED_TRACE(std::string(backend));
+  EXPECT_TRUE(same_bytes(want.merged, got.merged));
+  expect_same_ledger(want.device, got.device);
 }
 
 /// Two sorted, duplicate-heavy runs (hi = 0, 64 distinct keys) whose
@@ -227,7 +256,7 @@ TEST(DeviceWindowedMerge, HostBackendsMatchSimulatedLedger) {
         merge_on(kernel::simulated_backend(), a, b, window);
     ASSERT_EQ(want.merged.size(), a.size() + b.size());
     EXPECT_TRUE(is_sorted_by_fp(want.merged));
-    EXPECT_GT(want.kernel_ops, 0);
+    EXPECT_GT(want.device.kernel_ops, 0);
     for (kernel::Backend* backend : host_backends()) {
       expect_same_ledger(want, merge_on(*backend, a, b, window),
                          backend->name());
@@ -241,7 +270,7 @@ TEST(DeviceWindowedMerge, AllocFaultFiresAtTheSameWindow) {
   const auto [a, b] = duplicate_runs(20000, 20000);
   const MergeLedger want =
       merge_on(kernel::simulated_backend(), a, b, 1024, 6 * 5 + 3);
-  ASSERT_TRUE(want.faulted);
+  ASSERT_TRUE(want.device.faulted);
   EXPECT_GT(want.merged.size(), 0u);
   for (kernel::Backend* backend : host_backends()) {
     expect_same_ledger(want, merge_on(*backend, a, b, 1024, 6 * 5 + 3),
@@ -305,6 +334,147 @@ TEST(SortHostBlock, HostChunkFanOutMatchesSimulated) {
     std::vector<FpRecord> got = records;
     sort_host_block(tw.ws(), got, 1024);
     EXPECT_TRUE(same_bytes(want, got));
+  }
+}
+
+/// FNV-1a over the bytes of `items`.
+template <typename T>
+std::uint64_t digest_of(std::span<const T> items) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::byte b : std::as_bytes(items)) {
+    hash = (hash ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// A ledger and an output digest on one line; stream clocks in the
+/// device's picoseconds.
+std::string describe(const DeviceLedger& ledger, std::uint64_t digest) {
+  auto ps = [](double seconds) { return std::llround(seconds * 1e12); };
+  std::ostringstream out;
+  out << "streams_ps=[";
+  for (std::size_t i = 0; i < ledger.stream_seconds.size(); ++i) {
+    out << (i == 0 ? "" : ",") << ps(ledger.stream_seconds[i]);
+  }
+  out << "] modeled_ps=" << ps(ledger.modeled_seconds)
+      << " alloc=" << ledger.alloc_bytes
+      << " transfer=" << ledger.transfer_bytes
+      << " ops=" << ledger.kernel_ops << " peak=" << ledger.device_peak
+      << " faulted=" << ledger.faulted << " digest=" << std::hex << digest;
+  return out.str();
+}
+
+// The simulated device ledgers below were captured from the inline device
+// sequences the sort and reduce phases ran before they dispatched through
+// kernel::Backend (whose merges called gpu::merge_pairs on the device).
+// The one device sequence must still charge exactly these values.
+
+TEST(DeviceLedger, SortHostBlockMatchesPinnedValues) {
+  // 30 device chunks of 1 024 duplicate-heavy records, then 5 generations
+  // of windowed merges. Each chunk sort allocates 4 device buffers, so the
+  // 23rd allocation fails inside the sixth chunk's radix sort.
+  const auto input = random_records(30000, 41, 511);
+  const struct {
+    bool streamed;
+    std::uint64_t fault_nth_alloc;
+    const char* want;
+  } cases[] = {
+      {false, 0,
+       "streams_ps=[392560178] modeled_ps=392560178 alloc=8573280 "
+       "transfer=8573280 ops=880066 peak=49152 faulted=0 "
+       "digest=a34ce9553b9cf37a"},
+      {true, 0,
+       "streams_ps=[0,217544042,216576211] modeled_ps=217544042 "
+       "alloc=8573280 transfer=8573280 ops=880066 peak=49152 faulted=0 "
+       "digest=a34ce9553b9cf37a"},
+      {true, 4 * 5 + 3,
+       "streams_ps=[0,15624930,14805730] modeled_ps=15624930 alloc=270336 "
+       "transfer=270336 ops=122880 peak=49152 faulted=1 "
+       "digest=48da3846d5e9f882"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "streamed=" << c.streamed
+                                      << " fault=" << c.fault_nth_alloc);
+    std::vector<FpRecord> block = input;
+    const DeviceLedger ledger = measure_ledger(
+        kernel::simulated_backend(), 1ull << 20, c.fault_nth_alloc,
+        [&](TestWorkspace& tw) {
+          BlockGeometry geometry;
+          geometry.host_block_records = block.size();
+          geometry.device_block_records = 1024;
+          geometry.streamed = c.streamed;
+          sort_host_block(tw.ws(), block, geometry);
+        });
+    EXPECT_EQ(describe(ledger,
+                       digest_of(std::span<const FpRecord>(block))),
+              c.want);
+  }
+}
+
+TEST(DeviceLedger, ReducePartitionMatchesPinnedValues) {
+  // A 64 KiB device gives 341-record windows, so ~6 000 records per side
+  // span many windows; 2 048 keys over 12 000 records make tie groups. The
+  // reduce allocates its 4 window buffers once, so the 3rd allocation
+  // fails before the first window.
+  constexpr std::uint32_t kReads = 3000;
+  std::mt19937_64 rng(43);
+  std::vector<FpRecord> sfx(6000);
+  std::vector<FpRecord> pfx(6000);
+  for (auto* side : {&sfx, &pfx}) {
+    for (FpRecord& r : *side) {
+      const std::uint64_t key = rng() % 2048;
+      r = FpRecord{gpu::Key128{key, key * 7 + 1},
+                   static_cast<graph::VertexId>(rng() % (2 * kReads)), 0};
+    }
+    std::stable_sort(side->begin(), side->end(), fp_less);
+  }
+  const struct {
+    bool streamed;
+    std::uint64_t fault_nth_alloc;
+    const char* want;
+  } cases[] = {
+      {false, 0,
+       "streams_ps=[14858050] modeled_ps=14858050 alloc=13640 "
+       "transfer=240000 ops=107676 peak=13640 faulted=0 "
+       "digest=6f06bf93db58e732"},
+      {true, 0,
+       "streams_ps=[0,7793218,7776118] modeled_ps=7793218 alloc=13640 "
+       "transfer=240000 ops=107676 peak=13640 faulted=0 "
+       "digest=6f06bf93db58e732"},
+      {true, 3,
+       "streams_ps=[0,0,0] modeled_ps=0 alloc=10912 transfer=0 ops=0 "
+       "peak=10912 faulted=1 digest=88201fb960ff6465"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "streamed=" << c.streamed
+                                      << " fault=" << c.fault_nth_alloc);
+    std::vector<graph::Edge> edges;
+    PartitionReduceStats stats;
+    const DeviceLedger ledger = measure_ledger(
+        kernel::simulated_backend(), 64ull << 10, c.fault_nth_alloc,
+        [&](TestWorkspace& tw) {
+          SortedPartition part;
+          part.length = 60;
+          part.suffix_file = tw.dir().file("sfx.sorted");
+          part.prefix_file = tw.dir().file("pfx.sorted");
+          part.suffix_records = sfx.size();
+          part.prefix_records = pfx.size();
+          io::write_all_records<FpRecord>(part.suffix_file, sfx, tw.io());
+          io::write_all_records<FpRecord>(part.prefix_file, pfx, tw.io());
+          graph::StringGraph graph(kReads);
+          ReduceOptions options;
+          options.streamed = c.streamed;
+          stats = reduce_partition(tw.ws(), part, graph, options);
+          edges = graph.edges();
+        });
+    std::vector<std::uint64_t> summary = {stats.candidates, stats.accepted};
+    for (const graph::Edge& e : edges) {
+      summary.push_back((std::uint64_t{e.src} << 32) | e.dst);
+      summary.push_back(e.overlap);
+    }
+    EXPECT_EQ(describe(ledger,
+                       digest_of(std::span<const std::uint64_t>(summary))),
+              c.want);
   }
 }
 
