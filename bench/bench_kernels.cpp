@@ -6,14 +6,24 @@
 // columns are real host wall-clock, measured on identical inputs that
 // every backend must reduce to byte-identical outputs (checked here too).
 //
+// Besides one row per kernel on synthetic shapes, two rows use the
+// pipeline's shapes: match_bounds_windows matches sorted, equalized
+// suffix/prefix windows as the reduce does (and _shuffled the same needles
+// in random order within each window), and sort_pairs_fp sorts
+// fingerprint-shaped keys (both hashes below 2^61).
+//
 // Writes BENCH_kernels.json and enforces on exit code:
 //   - all backends byte-agree on every kernel's output
+//   - on each host backend, sorted-needle window bounds run >= 2x faster
+//     than the same needles shuffled (the merge-join must pay for itself
+//     on the reduce's shape)
 //   - AVX2 fingerprint throughput >= 1.5x scalar (the vector path must
 //     actually pay for itself; skipped with a note when the host lacks
 //     AVX2 or the build disabled it)
 //
 //   $ ./bench/bench_kernels [--quick] [--json=BENCH_kernels.json]
 //         [--log-level=debug|info|warn|error|off]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -47,9 +57,18 @@ struct Workload {
   // match bounds
   std::vector<Key128> needles;
   std::vector<Key128> haystack;
+  // match bounds on the reduce's shape: window w matches needles
+  // [needle_cut[w], needle_cut[w+1]) against haystack
+  // [hay_cut[w], hay_cut[w+1]); both sides end at the same key.
+  std::vector<Key128> window_needles;
+  std::vector<Key128> window_needles_shuffled;
+  std::vector<Key128> window_haystack;
+  std::vector<std::size_t> needle_cut;
+  std::vector<std::size_t> hay_cut;
   // sort
   std::vector<Key128> keys;
   std::vector<std::uint64_t> values;
+  std::vector<Key128> fp_keys;
 };
 
 Workload make_workload(bool quick) {
@@ -84,11 +103,45 @@ Workload make_workload(bool quick) {
                                    : Key128{rng() % (n / 3), rng() % 3});
   }
 
+  // Equalized windows: fingerprint-shaped prefix keys, suffix keys of
+  // which half also occur as prefixes, both sorted and cut at shared keys.
+  constexpr std::uint64_t kFp = 1ull << 61;
+  w.window_haystack.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.window_haystack.push_back(Key128{rng() % kFp, rng() % kFp});
+  }
+  std::sort(w.window_haystack.begin(), w.window_haystack.end());
+  w.window_needles.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.window_needles.push_back(i % 2 == 0 ? w.window_haystack[rng() % n]
+                                          : Key128{rng() % kFp, rng() % kFp});
+  }
+  std::sort(w.window_needles.begin(), w.window_needles.end());
+  const std::size_t window = n / 16;
+  w.needle_cut = {0};
+  w.hay_cut = {0};
+  for (std::size_t end = window; end < n; end += window) {
+    w.hay_cut.push_back(end);
+    w.needle_cut.push_back(static_cast<std::size_t>(
+        std::upper_bound(w.window_needles.begin(), w.window_needles.end(),
+                         w.window_haystack[end - 1]) -
+        w.window_needles.begin()));
+  }
+  w.hay_cut.push_back(n);
+  w.needle_cut.push_back(n);
+  w.window_needles_shuffled = w.window_needles;
+  for (std::size_t c = 0; c + 1 < w.needle_cut.size(); ++c) {
+    std::shuffle(w.window_needles_shuffled.begin() + w.needle_cut[c],
+                 w.window_needles_shuffled.begin() + w.needle_cut[c + 1], rng);
+  }
+
   w.keys.reserve(n);
   w.values.reserve(n);
+  w.fp_keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     w.keys.push_back(Key128{rng(), rng()});
     w.values.push_back(i);
+    w.fp_keys.push_back(Key128{rng() % kFp, rng() % kFp});
   }
   return w;
 }
@@ -172,6 +225,12 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> golden_upper;
   std::vector<Key128> golden_keys;
   std::vector<std::uint64_t> golden_values;
+  std::vector<std::uint32_t> golden_win_lower;
+  std::vector<std::uint32_t> golden_win_upper;
+  std::vector<std::uint32_t> golden_shuf_lower;
+  std::vector<std::uint32_t> golden_shuf_upper;
+  std::vector<Key128> golden_fp_keys;
+  std::vector<std::uint64_t> golden_fp_values;
   bool outputs_agree = true;
 
   for (kernel::Backend* backend : backends) {
@@ -241,6 +300,61 @@ int main(int argc, char** argv) {
     sp.wall_seconds /= iters;
     rows.push_back(sp);
 
+    // -- match bounds on equalized windows, sorted and shuffled -------------
+    auto match_windows = [&](const char* kernel_name,
+                             const std::vector<Key128>& needles,
+                             std::vector<std::uint32_t>& lo,
+                             std::vector<std::uint32_t>& up) {
+      lo.resize(needles.size());
+      up.resize(needles.size());
+      Row row{name, kernel_name};
+      row.elements = needles.size();
+      row.bytes = (needles.size() + w.window_haystack.size()) *
+                      sizeof(Key128) +
+                  2 * needles.size() * sizeof(std::uint32_t);
+      const double start = device.modeled_seconds();
+      row.wall_seconds = timed(iters, [&] {
+        for (std::size_t c = 0; c + 1 < w.hay_cut.size(); ++c) {
+          const std::size_t n0 = w.needle_cut[c];
+          const std::size_t nn = w.needle_cut[c + 1] - n0;
+          const std::size_t h0 = w.hay_cut[c];
+          backend->match_bounds(
+              std::span<const Key128>(needles).subspan(n0, nn),
+              std::span<const Key128>(w.window_haystack)
+                  .subspan(h0, w.hay_cut[c + 1] - h0),
+              std::span<std::uint32_t>(lo).subspan(n0, nn),
+              std::span<std::uint32_t>(up).subspan(n0, nn), &ctx);
+        }
+      });
+      row.modeled_seconds = (device.modeled_seconds() - start) / iters;
+      row.wall_seconds /= iters;
+      rows.push_back(row);
+    };
+    std::vector<std::uint32_t> win_lower;
+    std::vector<std::uint32_t> win_upper;
+    match_windows("match_bounds_windows", w.window_needles, win_lower,
+                  win_upper);
+    std::vector<std::uint32_t> shuf_lower;
+    std::vector<std::uint32_t> shuf_upper;
+    match_windows("match_bounds_windows_shuffled", w.window_needles_shuffled,
+                  shuf_lower, shuf_upper);
+
+    // -- sort pairs on fingerprint-shaped keys ------------------------------
+    std::vector<Key128> fp_keys;
+    std::vector<std::uint64_t> fp_values;
+    Row sf{name, "sort_pairs_fp"};
+    sf.elements = w.fp_keys.size();
+    sf.bytes = w.fp_keys.size() * (sizeof(Key128) + sizeof(std::uint64_t));
+    modeled0 = device.modeled_seconds();
+    sf.wall_seconds = timed(iters, [&] {
+      fp_keys = w.fp_keys;
+      fp_values = w.values;
+      backend->sort_pairs(fp_keys, fp_values, &ctx);
+    });
+    sf.modeled_seconds = (device.modeled_seconds() - modeled0) / iters;
+    sf.wall_seconds /= iters;
+    rows.push_back(sf);
+
     if (backend == backends.front()) {
       golden_prefix = prefix;
       golden_suffix = suffix;
@@ -248,10 +362,22 @@ int main(int argc, char** argv) {
       golden_upper = upper;
       golden_keys = keys;
       golden_values = values;
+      golden_win_lower = win_lower;
+      golden_win_upper = win_upper;
+      golden_shuf_lower = shuf_lower;
+      golden_shuf_upper = shuf_upper;
+      golden_fp_keys = fp_keys;
+      golden_fp_values = fp_values;
     } else {
       const bool same = prefix == golden_prefix && suffix == golden_suffix &&
                         lower == golden_lower && upper == golden_upper &&
-                        keys == golden_keys && values == golden_values;
+                        keys == golden_keys && values == golden_values &&
+                        win_lower == golden_win_lower &&
+                        win_upper == golden_win_upper &&
+                        shuf_lower == golden_shuf_lower &&
+                        shuf_upper == golden_shuf_upper &&
+                        fp_keys == golden_fp_keys &&
+                        fp_values == golden_fp_values;
       if (!same) {
         std::fprintf(stderr, "FAIL: %s output differs from %.*s\n",
                      name.c_str(),
@@ -262,10 +388,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-10s %-12s %14s %10s %12s %12s\n", "backend", "kernel",
+  std::printf("%-10s %-30s %14s %10s %12s %12s\n", "backend", "kernel",
               "elements/s", "GB/s", "wall s", "modeled s");
   for (const auto& r : rows) {
-    std::printf("%-10s %-12s %14.3e %10.3f %12.6f %12.6f\n",
+    std::printf("%-10s %-30s %14.3e %10.3f %12.6f %12.6f\n",
                 r.backend.c_str(), r.kernel.c_str(), r.elements_per_second(),
                 r.gigabytes_per_second(), r.wall_seconds, r.modeled_seconds);
   }
@@ -293,11 +419,6 @@ int main(int argc, char** argv) {
 
   if (!outputs_agree) return 1;
 
-  // Gate: the AVX2 fingerprint path must beat scalar by >= 1.5x.
-  if (!kernel::avx2_backend().available()) {
-    std::printf("note: AVX2 backend unavailable; speedup gate skipped\n");
-    return 0;
-  }
   auto rate = [&](const std::string& backend, const char* kern) {
     for (const auto& r : rows) {
       if (r.backend == backend && r.kernel == kern) {
@@ -306,6 +427,32 @@ int main(int argc, char** argv) {
     }
     return 0.0;
   };
+
+  // Gate: on each host backend, sorted window needles take the merge-join
+  // and must beat the same needles shuffled (binary search) by >= 2x.
+  bool join_pays = true;
+  for (const kernel::Backend* backend : backends) {
+    if (backend->uses_device()) continue;
+    const std::string name(backend->name());
+    const double ratio =
+        rate(name, "match_bounds_windows") /
+        std::max(rate(name, "match_bounds_windows_shuffled"), 1e-12);
+    std::printf("%s sorted/shuffled window match speedup: %.2fx "
+                "(gate: >= 2.00x)\n",
+                name.c_str(), ratio);
+    if (ratio < 2.0) {
+      std::fprintf(stderr, "FAIL: %s sorted-needle match below gate\n",
+                   name.c_str());
+      join_pays = false;
+    }
+  }
+  if (!join_pays) return 1;
+
+  // Gate: the AVX2 fingerprint path must beat scalar by >= 1.5x.
+  if (!kernel::avx2_backend().available()) {
+    std::printf("note: AVX2 backend unavailable; speedup gate skipped\n");
+    return 0;
+  }
   const double speedup = rate("avx2", "fingerprint") /
                          std::max(rate("scalar", "fingerprint"), 1e-12);
   std::printf("avx2 fingerprint speedup vs scalar: %.2fx (gate: >= 1.50x)\n",

@@ -104,72 +104,6 @@ void device_sort_chunk(Workspace& ws, kernel::Backend& backend,
   join_records(keys, vals, chunk);
 }
 
-/// A host-backend block that is one chunk of at least this many records
-/// sorts by key range on the pool (key_range_sort).
-constexpr std::size_t kKeyRangeSortMin = 2 * util::kElementGrain;
-/// Key ranges per pool worker, so a skewed digit histogram still balances.
-constexpr std::size_t kKeyRangesPerWorker = 4;
-
-/// Host-backend sort of one chunk on the pool. The records are stably
-/// scattered into contiguous value ranges of their most significant
-/// non-degenerate key digit, balanced by that digit's histogram, and
-/// `backend` sorts each range. Every key of a range is below every key of
-/// the next, so the result is the one stable sort of the chunk by key:
-/// byte-identical to device_sort_chunk.
-void key_range_sort(kernel::Backend& backend, std::span<FpRecord> chunk) {
-  const std::size_t n = chunk.size();
-  const auto t0 = std::chrono::steady_clock::now();
-  std::array<std::size_t, 256> hist{};
-  unsigned digit = gpu::Key128::kDigits;
-  do {
-    if (digit == 0) {  // every key equal: already stably sorted
-      record_sort_wall(t0);
-      return;
-    }
-    --digit;
-    hist.fill(0);
-    for (const FpRecord& r : chunk) ++hist[r.fp.digit(digit)];
-  } while (std::find(hist.begin(), hist.end(), n) != hist.end());
-
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t ranges = kKeyRangesPerWorker * pool.size();
-  std::array<std::size_t, 256> range_of{};
-  std::vector<std::size_t> bounds{0};
-  std::size_t total = 0;
-  for (unsigned v = 0; v < 256; ++v) {
-    range_of[v] = bounds.size() - 1;
-    total += hist[v];
-    if (total < n && total > bounds.back() &&
-        total * ranges >= bounds.size() * n) {
-      bounds.push_back(total);
-    }
-  }
-  bounds.push_back(n);
-
-  std::vector<gpu::Key128> keys(n);
-  std::vector<std::uint64_t> vals(n);
-  std::vector<std::size_t> next(bounds.begin(), bounds.end() - 1);
-  for (const FpRecord& r : chunk) {
-    const std::size_t at = next[range_of[r.fp.digit(digit)]]++;
-    keys[at] = r.fp;
-    vals[at] = r.vertex;
-  }
-  pool.parallel_for_chunked(
-      bounds.size() - 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          const std::size_t len = bounds[r + 1] - bounds[r];
-          backend.sort_pairs(
-              std::span<gpu::Key128>(keys).subspan(bounds[r], len),
-              std::span<std::uint64_t>(vals).subspan(bounds[r], len),
-              nullptr);
-        }
-      },
-      1);
-  join_records(keys, vals, chunk);
-  record_sort_wall(t0);
-}
-
 /// The device ledger of merging `na` + `nb` pairs with gpu::merge_pairs,
 /// issued without running it: six buffer reservations, the four uploads,
 /// the kernel between begin/end_kernel and the two downloads, in that
@@ -283,8 +217,9 @@ void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
   }
 
   // Level 2a: device-sort each m_d chunk. Host backends charge nothing
-  // here, so their chunks sort concurrently and a lone large chunk sorts
-  // by key range; while a kernel capture records, chunks sort in order.
+  // here, so their chunks sort concurrently (a lone large chunk fans out
+  // inside the kernel); while a kernel capture records, chunks sort in
+  // order.
   kernel::Backend& backend = kernel::active_backend();
   const bool on_host_pool = !backend.uses_device() &&
                             kernel::CaptureSession::active() == nullptr;
@@ -297,8 +232,6 @@ void sort_host_block_impl(Workspace& ws, std::span<FpRecord> block,
           }
         },
         1);
-  } else if (on_host_pool && block.size() >= kKeyRangeSortMin) {
-    key_range_sort(backend, block);
   } else {
     for (const std::span<FpRecord>& run : runs) {
       device_sort_chunk(ws, backend, run, streams);

@@ -6,7 +6,9 @@
 //   2. match bounds            — batched lower/upper bound of suffix
 //                                fingerprints in a sorted prefix window
 //                                (Algorithm 2 lines 8-9),
-//   3. radix sort              — stable LSD sort of (Key128, u64) pairs.
+//   3. radix sort              — stable sort of (Key128, u64) pairs by key
+//                                (LSD on the simulated device, MSD on the
+//                                host backends; kernel/host_kernels.hpp).
 //
 // A Backend is one implementation of all three over plain host memory: the
 // simulated GPU (the modeled-clock reference the paper's numbers come
@@ -128,7 +130,7 @@ class Backend {
                             std::span<std::uint32_t> upper,
                             DeviceContext* ctx) = 0;
 
-  /// Stable LSD radix sort of `keys` with `values` permuted alongside.
+  /// Stable sort by key of `keys` with `values` permuted alongside.
   virtual void sort_pairs(std::span<gpu::Key128> keys,
                           std::span<std::uint64_t> values,
                           DeviceContext* ctx) = 0;

@@ -1,7 +1,5 @@
-// AVX2 host backend: the first *wall-clock* implementation of the three
-// hot kernels (every earlier number in this repo is modeled time).
-//
-// Why it is fast relative to the scalar backend:
+// AVX2 host backend: the scalar backend's kernels with the two
+// compute-bound inner loops vectorized.
 //
 //   * fingerprint — the scalar path reduces every Rabin-Karp step with
 //     util::mulmod's `unsigned __int128 %`, a library 128/64 division
@@ -15,15 +13,15 @@
 //     so the place value sigma^k is a per-step broadcast constant.
 //     Requires q < 2^62 (the suffix accumulator reaches 4q); jobs with
 //     out-of-range moduli delegate to the scalar backend.
-//   * match_bounds — branchless binary search: all lanes execute the same
-//     halving schedule (len is shared), the probed key is fetched with
-//     vpgatherqq, and the comparison result conditionally advances each
-//     lane's base. Four needles per iteration, no branch mispredicts.
-//   * sort_pairs — same stable LSD radix as the scalar backend (identical
-//     output permutation), but the 16-digit counting pre-pass spreads
-//     increments over four histogram banks (breaking store-forward
-//     dependency chains) and merges the banks with 256-bit vector adds;
-//     record moves use 128-bit loads/stores.
+//   * match_bounds — the ascending prefix of the needles (in the reduce,
+//     all of them) takes the shared galloping merge-join
+//     (kernel/host_kernels.hpp). The rest take a branchless binary search:
+//     all lanes execute the same halving schedule (len is shared), the
+//     probed key is fetched with vpgatherqq, and the comparison result
+//     conditionally advances each lane's base. Four needles per
+//     iteration, no branch mispredicts.
+//   * sort_pairs — the shared MSD radix sort. It is bound by memory
+//     traffic, which vector scatters do not reduce.
 //
 // AVX2 has no 64-bit full multiply or unsigned compare, so both are
 // synthesized: mulhi/mullo from vpmuludq 32-bit limb products, unsigned
@@ -32,18 +30,17 @@
 // The whole implementation is compiled only when the build enables
 // LASAGNA_AVX2 (then this TU gets -mavx2); at runtime available() also
 // requires cpuid to report AVX2 + OS ymm-state support, so generic builds
-// and older hosts fall back to scalar instead of crashing (satellite:
-// kernel::cpu_features()).
+// and older hosts fall back to scalar instead of crashing
+// (kernel::cpu_features()).
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "gpu/key128.hpp"
 #include "kernel/backend.hpp"
 #include "kernel/cpu_features.hpp"
+#include "kernel/host_kernels.hpp"
 #include "util/modmath.hpp"
 
 #if defined(LASAGNA_AVX2_COMPILED) && defined(__AVX2__)
@@ -340,85 +337,6 @@ void avx2_match_bounds(std::span<const Key128> needles,
   }
 }
 
-// ---- sort pairs ------------------------------------------------------------
-
-void avx2_sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values) {
-  const std::size_t n = keys.size();
-  if (n < 2) return;
-
-  // Counting pre-pass over all 16 digits in one sweep, spread across four
-  // banks so consecutive increments rarely hit the same cache line /
-  // store-forward chain.
-  using Bank = std::array<std::array<std::uint64_t, 256>, 4>;
-  std::vector<Bank> banks(Key128::kDigits);
-  for (auto& b : banks) {
-    for (auto& lane : b) lane.fill(0);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned bank = i & 3;
-    const std::uint64_t lo = keys[i].lo;
-    const std::uint64_t hi = keys[i].hi;
-    for (unsigned j = 0; j < 8; ++j) {
-      ++banks[j][bank][(lo >> (8 * j)) & 0xff];
-      ++banks[8 + j][bank][(hi >> (8 * j)) & 0xff];
-    }
-  }
-  // Vector merge of the four banks (256 u64 counters = 64 vector adds).
-  std::array<std::array<std::uint64_t, 256>, Key128::kDigits> hist;
-  for (unsigned d = 0; d < Key128::kDigits; ++d) {
-    for (unsigned b = 0; b < 256; b += 4) {
-      __m256i sum = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(&banks[d][0][b]));
-      for (unsigned bank = 1; bank < 4; ++bank) {
-        sum = _mm256_add_epi64(
-            sum, _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i*>(&banks[d][bank][b])));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(&hist[d][b]), sum);
-    }
-  }
-
-  std::vector<Key128> tmp_k(n);
-  std::vector<std::uint64_t> tmp_v(n);
-  Key128* src_k = keys.data();
-  std::uint64_t* src_v = values.data();
-  Key128* dst_k = tmp_k.data();
-  std::uint64_t* dst_v = tmp_v.data();
-
-  for (unsigned d = 0; d < Key128::kDigits; ++d) {
-    const auto& h = hist[d];
-    bool degenerate = false;
-    for (unsigned b = 0; b < 256; ++b) {
-      if (h[b] == n) {
-        degenerate = true;
-        break;
-      }
-    }
-    if (degenerate) continue;
-
-    std::array<std::uint64_t, 256> offsets;
-    std::uint64_t running = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      offsets[b] = running;
-      running += h[b];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t at = offsets[src_k[i].digit(d)]++;
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(dst_k + at),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src_k + i)));
-      dst_v[at] = src_v[i];
-    }
-    std::swap(src_k, dst_k);
-    std::swap(src_v, dst_v);
-  }
-
-  if (src_k != keys.data()) {
-    std::memcpy(keys.data(), src_k, n * sizeof(Key128));
-    std::memcpy(values.data(), src_v, n * sizeof(std::uint64_t));
-  }
-}
-
 #endif  // LASAGNA_AVX2_IMPL
 
 class Avx2Backend final : public Backend {
@@ -461,7 +379,10 @@ class Avx2Backend final : public Backend {
     }
 #ifdef LASAGNA_AVX2_IMPL
     require_available();
-    avx2_match_bounds(needles, haystack, lower, upper);
+    const std::size_t sorted =
+        host::match_sorted_prefix(needles, haystack, lower, upper);
+    avx2_match_bounds(needles.subspan(sorted), haystack,
+                      lower.subspan(sorted), upper.subspan(sorted));
 #else
     (void)haystack;
     throw_not_compiled();
@@ -475,7 +396,7 @@ class Avx2Backend final : public Backend {
     }
 #ifdef LASAGNA_AVX2_IMPL
     require_available();
-    avx2_sort_pairs(keys, values);
+    host::sort_pairs(keys, values);
 #else
     throw_not_compiled();
 #endif

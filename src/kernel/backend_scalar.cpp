@@ -1,16 +1,36 @@
-// Scalar host backend: straightforward single-threaded C++ for all three
-// kernels. This is the portable fallback (runs on any CPU) and the wall-
-// clock baseline the AVX2 backend's speedup gate is measured against. Its
-// modular arithmetic goes through util::mulmod's 128-bit division — the
-// very cost the AVX2 path's Shoup multiplication removes.
+// Scalar host backend, built for the baseline ISA: the portable fallback
+// (runs on any CPU) and the wall-clock baseline the AVX2 backend's
+// fingerprint speedup gate is measured against. Its modular arithmetic
+// goes through util::mulmod's 128-bit division — the very cost the AVX2
+// path's Shoup multiplication removes.
+//
+// It also defines the two kernels both host backends share
+// (kernel/host_kernels.hpp), which are bound by memory traffic rather
+// than arithmetic:
+//
+//   * sort_pairs — a stable MSD radix sort. Fingerprint keys use 61/62-bit
+//     moduli, so an LSD sort makes all 16 digit passes; MSD scatters once
+//     per level on the most significant digit on which a bucket's keys
+//     differ, and buckets shrink below the insertion-sort cutoff after
+//     about three levels. Large inputs sort their top-level buckets on
+//     the thread pool.
+//   * match_bounds — the reduce's suffix windows are sorted like the
+//     prefix window they search, so an ascending run of needles is
+//     answered by one merge-join that gallops forward from the previous
+//     needle's bounds instead of binary-searching the whole window per
+//     needle. Needles past the first descent take std::lower_bound and
+//     std::upper_bound.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "gpu/key128.hpp"
 #include "kernel/backend.hpp"
+#include "kernel/host_kernels.hpp"
 #include "util/modmath.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::kernel {
 
@@ -51,75 +71,111 @@ void scalar_fingerprint(const FingerprintJob& job) {
   }
 }
 
-void scalar_match_bounds(std::span<const Key128> needles,
-                         std::span<const Key128> haystack,
-                         std::span<std::uint32_t> lower,
-                         std::span<std::uint32_t> upper) {
-  for (std::size_t i = 0; i < needles.size(); ++i) {
-    lower[i] = static_cast<std::uint32_t>(
-        std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
-    upper[i] = static_cast<std::uint32_t>(
-        std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
+/// n keys with their values, at the same offset in the caller's arrays or
+/// in the scratch arrays.
+struct Pairs {
+  Key128* keys;
+  std::uint64_t* values;
+
+  [[nodiscard]] Pairs at(std::size_t offset) const {
+    return {keys + offset, values + offset};
+  }
+  void copy_to(Pairs to, std::size_t n) const {
+    std::copy(keys, keys + n, to.keys);
+    std::copy(values, values + n, to.values);
+  }
+};
+
+/// Stable insertion sort of the n pairs at `p`.
+void insertion_sort(Pairs p, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const Key128 key = p.keys[i];
+    const std::uint64_t value = p.values[i];
+    std::size_t j = i;
+    for (; j > 0 && key < p.keys[j - 1]; --j) {
+      p.keys[j] = p.keys[j - 1];
+      p.values[j] = p.values[j - 1];
+    }
+    p.keys[j] = key;
+    p.values[j] = value;
   }
 }
 
-void scalar_sort_pairs(std::span<Key128> keys,
-                       std::span<std::uint64_t> values) {
-  const std::size_t n = keys.size();
-  if (n < 2) return;
+/// Sorts the n pairs at `src`, whose keys agree on every digit from
+/// `digits` up, by the digits below; the result lands at `src` when
+/// `src_is_out`, else at `dst`. One level scatters `src` into `dst` by the
+/// most significant digit on which the keys differ, then sorts each bucket
+/// with the two arrays' roles swapped. With `fan_out`, the buckets sort
+/// concurrently on the global pool.
+void msd_sort(Pairs src, Pairs dst, std::size_t n, unsigned digits,
+              bool src_is_out, bool fan_out) {
+  const Pairs out = src_is_out ? src : dst;
+  if (n <= host::kInsertionSortMax) {
+    if (!src_is_out) src.copy_to(dst, n);
+    insertion_sort(out, n);
+    return;
+  }
 
-  std::vector<Key128> tmp_k(n);
-  std::vector<std::uint64_t> tmp_v(n);
+  std::array<std::size_t, 257> start{};
+  unsigned d = digits;
+  do {
+    if (d == 0) {  // every key equal: the input order is the sorted order
+      if (!src_is_out) src.copy_to(dst, n);
+      return;
+    }
+    --d;
+    start.fill(0);
+    for (std::size_t i = 0; i < n; ++i) ++start[src.keys[i].digit(d) + 1];
+  } while (start[src.keys[0].digit(d) + 1] == n);
 
-  // One pre-pass builds all 16 digit histograms, so degenerate passes
-  // (every key shares the digit) skip without touching data — the same
-  // optimization the simulated device path applies, and a requirement for
-  // byte-identity is NOT affected either way: any stable LSD digit order
-  // yields the same output permutation.
-  std::array<std::array<std::uint64_t, 256>, Key128::kDigits> hist{};
+  for (unsigned b = 0; b < 256; ++b) start[b + 1] += start[b];
+  std::array<std::size_t, 256> next;
+  std::copy(start.begin(), start.end() - 1, next.begin());
   for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned d = 0; d < Key128::kDigits; ++d) {
-      ++hist[d][keys[i].digit(d)];
-    }
+    const std::size_t at = next[src.keys[i].digit(d)]++;
+    dst.keys[at] = src.keys[i];
+    dst.values[at] = src.values[i];
   }
 
-  Key128* src_k = keys.data();
-  std::uint64_t* src_v = values.data();
-  Key128* dst_k = tmp_k.data();
-  std::uint64_t* dst_v = tmp_v.data();
-
-  for (unsigned d = 0; d < Key128::kDigits; ++d) {
-    const auto& h = hist[d];
-    bool degenerate = false;
+  auto sort_bucket = [&](unsigned b) {
+    msd_sort(dst.at(start[b]), src.at(start[b]), start[b + 1] - start[b], d,
+             !src_is_out, false);
+  };
+  if (!fan_out) {
     for (unsigned b = 0; b < 256; ++b) {
-      if (h[b] == n) {
-        degenerate = true;
-        break;
-      }
+      if (start[b + 1] > start[b]) sort_bucket(b);
     }
-    if (degenerate) continue;
-
-    std::array<std::uint64_t, 256> offsets;
-    std::uint64_t running = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      offsets[b] = running;
-      running += h[b];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t at = offsets[src_k[i].digit(d)]++;
-      dst_k[at] = src_k[i];
-      dst_v[at] = src_v[i];
-    }
-    std::swap(src_k, dst_k);
-    std::swap(src_v, dst_v);
+    return;
   }
-
-  if (src_k != keys.data()) {
-    std::copy(src_k, src_k + n, keys.data());
-    std::copy(src_v, src_v + n, values.data());
+  // Fan out over the non-empty buckets only: fingerprint keys fill 32 of
+  // the top digit's 256 values.
+  std::vector<unsigned> buckets;
+  for (unsigned b = 0; b < 256; ++b) {
+    if (start[b + 1] > start[b]) buckets.push_back(b);
   }
+  util::ThreadPool::global().parallel_for_chunked(
+      buckets.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) sort_bucket(buckets[i]);
+      },
+      1);
+}
+
+/// First index in [from, n] where `advance` turns false (it must hold on a
+/// prefix of `hay` only): probe from, from+1, from+3, ... until it fails,
+/// then bisect the last step.
+template <typename Advance>
+std::size_t gallop(const Key128* hay, std::size_t n, std::size_t from,
+                   Advance advance) {
+  std::size_t lo = from;
+  std::size_t step = 1;
+  while (from + step <= n && advance(hay[from + step - 1])) {
+    lo = from + step;
+    step *= 2;
+  }
+  const std::size_t hi = std::min(from + step - 1, n);
+  return static_cast<std::size_t>(
+      std::partition_point(hay + lo, hay + hi, advance) - hay);
 }
 
 class ScalarBackend final : public Backend {
@@ -138,7 +194,16 @@ class ScalarBackend final : public Backend {
     if (lower.size() != needles.size() || upper.size() != needles.size()) {
       throw std::invalid_argument("match_bounds: output size mismatch");
     }
-    scalar_match_bounds(needles, haystack, lower, upper);
+    for (std::size_t i =
+             host::match_sorted_prefix(needles, haystack, lower, upper);
+         i < needles.size(); ++i) {
+      lower[i] = static_cast<std::uint32_t>(
+          std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
+          haystack.begin());
+      upper[i] = static_cast<std::uint32_t>(
+          std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
+          haystack.begin());
+    }
   }
 
   void sort_pairs(std::span<Key128> keys, std::span<std::uint64_t> values,
@@ -146,11 +211,47 @@ class ScalarBackend final : public Backend {
     if (keys.size() != values.size()) {
       throw std::invalid_argument("sort_pairs: key/value size mismatch");
     }
-    scalar_sort_pairs(keys, values);
+    host::sort_pairs(keys, values);
   }
 };
 
 }  // namespace
+
+void host::sort_pairs(std::span<Key128> keys,
+                      std::span<std::uint64_t> values) {
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  std::vector<Key128> tmp_keys(n);
+  std::vector<std::uint64_t> tmp_values(n);
+  msd_sort({keys.data(), values.data()}, {tmp_keys.data(), tmp_values.data()},
+           n, Key128::kDigits, true, n >= kSortFanOutMin);
+}
+
+std::size_t host::match_sorted_prefix(std::span<const Key128> needles,
+                                      std::span<const Key128> haystack,
+                                      std::span<std::uint32_t> lower,
+                                      std::span<std::uint32_t> upper) {
+  const Key128* hay = haystack.data();
+  const std::size_t n = haystack.size();
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < needles.size(); ++i) {
+    const Key128& x = needles[i];
+    if (i > 0 && x <= needles[i - 1]) {
+      if (x < needles[i - 1]) return i;
+      lower[i] = lower[i - 1];
+      upper[i] = upper[i - 1];
+      continue;
+    }
+    // The previous needle is smaller, so both bounds lie at or past its
+    // upper bound.
+    const std::size_t lo =
+        gallop(hay, n, from, [&x](const Key128& h) { return h < x; });
+    from = gallop(hay, n, lo, [&x](const Key128& h) { return !(x < h); });
+    lower[i] = static_cast<std::uint32_t>(lo);
+    upper[i] = static_cast<std::uint32_t>(from);
+  }
+  return needles.size();
+}
 
 Backend& scalar_backend() {
   static ScalarBackend backend;

@@ -1,0 +1,38 @@
+// The sort and merge-join kernels both host backends share, defined in
+// backend_scalar.cpp (baseline ISA), which explains why neither has an
+// AVX2 variant.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "gpu/key128.hpp"
+#include "util/thread_pool.hpp"
+
+namespace lasagna::kernel::host {
+
+/// Buckets of at most this many pairs finish with a stable insertion sort
+/// instead of another radix level.
+inline constexpr std::size_t kInsertionSortMax = 32;
+
+/// From this many pairs up, sort_pairs sorts its top-level buckets
+/// concurrently on util::ThreadPool::global().
+inline constexpr std::size_t kSortFanOutMin = 2 * util::kElementGrain;
+
+/// Stable MSD radix sort of `keys` (8-bit digits, most significant
+/// non-degenerate digit first, out of place) with `values` permuted
+/// alongside. Sizes must match.
+void sort_pairs(std::span<gpu::Key128> keys, std::span<std::uint64_t> values);
+
+/// Galloping merge-join for the ascending prefix of `needles`: lower[i] and
+/// upper[i] as Backend::match_bounds defines them, each searched forward
+/// from the previous needle's bounds. Returns the length of the prefix it
+/// answered; the first needle below its predecessor ends it, and the caller
+/// answers the rest by binary search. `haystack` must be sorted ascending.
+[[nodiscard]] std::size_t match_sorted_prefix(
+    std::span<const gpu::Key128> needles,
+    std::span<const gpu::Key128> haystack, std::span<std::uint32_t> lower,
+    std::span<std::uint32_t> upper);
+
+}  // namespace lasagna::kernel::host

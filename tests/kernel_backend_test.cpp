@@ -1,7 +1,9 @@
 // The multi-backend kernel harness contract:
 //  - every backend (simulated-GPU, scalar, AVX2 when the host has it)
 //    produces byte-identical outputs for all three hot kernels, including
-//    ragged read lengths, empty partitions and adversarial tie corpora;
+//    ragged read lengths, empty partitions and adversarial tie corpora,
+//    and the host kernels' sorted-needle merge-join and MSD sort match
+//    std::lower_bound/upper_bound and std::stable_sort on edge shapes;
 //  - dump capture is deterministic (same seed -> byte-identical dump) and
 //    replay byte-compares every backend against the golden capture;
 //  - malformed or truncated dumps are rejected, and an existing dump is
@@ -23,6 +25,7 @@
 #include "kernel/backend.hpp"
 #include "kernel/cpu_features.hpp"
 #include "kernel/dump.hpp"
+#include "kernel/host_kernels.hpp"
 #include "kernel/replay.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
@@ -123,6 +126,76 @@ TEST(KernelBackend, FingerprintWeakModuliFallBackToScalar) {
   }
 }
 
+std::vector<kernel::Backend*> every_backend_under_test() {
+  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
+  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
+  return backends;
+}
+
+/// Every backend's bounds of `needles` in `haystack` equal
+/// std::lower_bound / std::upper_bound's.
+void expect_bounds_match_std(const std::vector<Key128>& needles,
+                             const std::vector<Key128>& haystack) {
+  std::vector<std::uint32_t> want_lower(needles.size());
+  std::vector<std::uint32_t> want_upper(needles.size());
+  for (std::size_t i = 0; i < needles.size(); ++i) {
+    want_lower[i] = static_cast<std::uint32_t>(
+        std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
+        haystack.begin());
+    want_upper[i] = static_cast<std::uint32_t>(
+        std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
+        haystack.begin());
+  }
+  gpu::Device dev(gpu::GpuProfile::k40(), 64u << 20);
+  kernel::DeviceContext ctx{&dev, nullptr, false};
+  for (kernel::Backend* backend : every_backend_under_test()) {
+    std::vector<std::uint32_t> lower(needles.size(), 123);
+    std::vector<std::uint32_t> upper(needles.size(), 123);
+    backend->match_bounds(needles, haystack, lower, upper, &ctx);
+    EXPECT_EQ(lower, want_lower) << backend->name();
+    EXPECT_EQ(upper, want_upper) << backend->name();
+  }
+}
+
+/// `count` keys drawn from [0, hi_range) x [0, lo_range).
+std::vector<Key128> random_keys(std::size_t count, std::uint64_t hi_range,
+                                std::uint64_t lo_range, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Key128> keys(count);
+  for (Key128& k : keys) k = Key128{rng() % hi_range, rng() % lo_range};
+  return keys;
+}
+
+std::vector<Key128> sorted(std::vector<Key128> keys) {
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Every backend sorts `keys` (payload = input index, so a tie taken out
+/// of order shows) exactly as std::stable_sort does.
+void expect_sort_matches_std(const std::vector<Key128>& keys) {
+  std::vector<std::uint64_t> order(keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<std::uint64_t> want_vals = order;
+  std::stable_sort(want_vals.begin(), want_vals.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return keys[a] < keys[b];
+                   });
+  std::vector<Key128> want_keys(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    want_keys[i] = keys[want_vals[i]];
+  }
+  gpu::Device dev(gpu::GpuProfile::k40(), 64u << 20);
+  kernel::DeviceContext ctx{&dev, nullptr, false};
+  for (kernel::Backend* backend : every_backend_under_test()) {
+    std::vector<Key128> got_keys = keys;
+    std::vector<std::uint64_t> got_vals = order;
+    backend->sort_pairs(got_keys, got_vals, &ctx);
+    EXPECT_EQ(got_keys, want_keys) << backend->name() << " n=" << keys.size();
+    EXPECT_EQ(got_vals, want_vals) << backend->name() << " n=" << keys.size();
+  }
+}
+
 TEST(KernelBackend, MatchBoundsAcrossBackends) {
   std::mt19937_64 rng(99);
   // Haystack with dense duplicate runs (the tie-heavy shape the reduce
@@ -140,39 +213,10 @@ TEST(KernelBackend, MatchBoundsAcrossBackends) {
                                  : Key128{rng() % 60, rng() % 3});
   }
 
-  std::vector<std::uint32_t> want_lower(needles.size());
-  std::vector<std::uint32_t> want_upper(needles.size());
-  for (std::size_t i = 0; i < needles.size(); ++i) {
-    want_lower[i] = static_cast<std::uint32_t>(
-        std::lower_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
-    want_upper[i] = static_cast<std::uint32_t>(
-        std::upper_bound(haystack.begin(), haystack.end(), needles[i]) -
-        haystack.begin());
-  }
-
-  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
-  kernel::DeviceContext ctx{&dev, nullptr, false};
-  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
-  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
-  for (kernel::Backend* backend : backends) {
-    std::vector<std::uint32_t> lower(needles.size(), 123);
-    std::vector<std::uint32_t> upper(needles.size(), 123);
-    backend->match_bounds(needles, haystack, lower, upper, &ctx);
-    EXPECT_EQ(lower, want_lower) << backend->name();
-    EXPECT_EQ(upper, want_upper) << backend->name();
-
-    // Empty haystack: all bounds are zero.
-    std::vector<std::uint32_t> lo2(5, 77);
-    std::vector<std::uint32_t> up2(5, 77);
-    backend->match_bounds(std::span<const Key128>(needles).first(5), {}, lo2,
-                          up2, &ctx);
-    EXPECT_EQ(lo2, std::vector<std::uint32_t>(5, 0)) << backend->name();
-    EXPECT_EQ(up2, std::vector<std::uint32_t>(5, 0)) << backend->name();
-
-    // Empty needles: a no-op.
-    backend->match_bounds({}, haystack, {}, {}, &ctx);
-  }
+  expect_bounds_match_std(needles, haystack);
+  // Empty haystack (all bounds are zero) and empty needles (a no-op).
+  expect_bounds_match_std({needles.begin(), needles.begin() + 5}, {});
+  expect_bounds_match_std({}, haystack);
 }
 
 TEST(KernelBackend, SortPairsAcrossBackends) {
@@ -180,49 +224,92 @@ TEST(KernelBackend, SortPairsAcrossBackends) {
   // tie corpus: stability is observable through the value payloads.
   std::mt19937_64 rng(1234);
   std::vector<Key128> keys;
-  std::vector<std::uint64_t> vals;
   for (unsigned i = 0; i < 2000; ++i) {
     keys.push_back(Key128{rng() % 97, rng() % 7});
-    vals.push_back(i);
   }
   const auto ties = lasagna::testing::make_tie_records(8, 5, 6, 77);
-  for (const auto& rec : ties.sfx) {
-    keys.push_back(rec.fp);
-    vals.push_back(vals.size());
+  for (const auto& rec : ties.sfx) keys.push_back(rec.fp);
+  expect_sort_matches_std(keys);
+}
+
+// ---- sorted-needle match_bounds and MSD sort_pairs edge cases -------------
+
+TEST(KernelBackend, SortedNeedleMatchBoundsEdgeShapes) {
+  {
+    SCOPED_TRACE("duplicate runs in both arrays");
+    expect_bounds_match_std(sorted(random_keys(3000, 40, 2, 1)),
+                            sorted(random_keys(2500, 40, 2, 2)));
   }
-
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return keys[a] < keys[b];
-                   });
-  std::vector<Key128> want_keys(keys.size());
-  std::vector<std::uint64_t> want_vals(keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    want_keys[i] = keys[order[i]];
-    want_vals[i] = vals[order[i]];
+  {
+    SCOPED_TRACE("needles below and above the haystack's range");
+    std::vector<Key128> outside = random_keys(500, 10, 4, 3);
+    for (const Key128& k : random_keys(500, 10, 4, 4)) {
+      outside.push_back(Key128{k.hi + 1000, k.lo});
+    }
+    std::vector<Key128> middle = random_keys(800, 100, 4, 5);
+    for (Key128& k : middle) k.hi += 200;
+    expect_bounds_match_std(sorted(outside), sorted(middle));
   }
+  {
+    SCOPED_TRACE("1 needle against 100 k haystack keys");
+    const std::vector<Key128> big =
+        sorted(random_keys(100000, 1u << 20, 8, 6));
+    expect_bounds_match_std({big[77777]}, big);
+    expect_bounds_match_std({Key128{1u << 21, 0}}, big);
+  }
+  {
+    SCOPED_TRACE("100 k needles against a 3-key haystack");
+    expect_bounds_match_std(sorted(random_keys(100000, 5, 1, 7)),
+                            {Key128{1, 0}, Key128{2, 0}, Key128{2, 0}});
+  }
+  {
+    SCOPED_TRACE("an all-equal haystack");
+    expect_bounds_match_std(sorted(random_keys(4000, 3, 2, 8)),
+                            std::vector<Key128>(5000, Key128{1, 1}));
+  }
+  {
+    SCOPED_TRACE("a sorted prefix, then needles in no order");
+    std::vector<Key128> mixed = sorted(random_keys(3000, 60, 2, 9));
+    const std::vector<Key128> tail = random_keys(3001, 60, 2, 10);
+    mixed.insert(mixed.end(), tail.begin(), tail.end());
+    expect_bounds_match_std(mixed, sorted(random_keys(2000, 50, 2, 11)));
+  }
+}
 
-  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
-  kernel::DeviceContext ctx{&dev, nullptr, false};
-  std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
-  for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
-  for (kernel::Backend* backend : backends) {
-    auto got_keys = keys;
-    auto got_vals = vals;
-    backend->sort_pairs(got_keys, got_vals, &ctx);
-    EXPECT_EQ(got_keys, want_keys) << backend->name();
-    EXPECT_EQ(got_vals, want_vals) << backend->name();
+TEST(KernelBackend, SortPairsSizesAroundCutoffs) {
+  // Fingerprint-shaped keys (both hashes below 2^61) at sizes around the
+  // insertion-sort cutoff and the pool fan-out threshold.
+  constexpr std::uint64_t kFp = 1ull << 61;
+  const std::size_t cut = kernel::host::kInsertionSortMax;
+  const std::size_t fan = kernel::host::kSortFanOutMin;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              cut - 1, cut, cut + 1, fan - 1, fan, fan + 1,
+                              std::size_t{200000}}) {
+    expect_sort_matches_std(random_keys(n, kFp, kFp, 100 + n));
+  }
+}
 
-    // Degenerate sizes.
-    std::vector<Key128> k1 = {Key128{5, 5}};
-    std::vector<std::uint64_t> v1 = {9};
-    backend->sort_pairs(k1, v1, &ctx);
-    EXPECT_EQ(v1[0], 9u) << backend->name();
-    std::vector<Key128> k0;
-    std::vector<std::uint64_t> v0;
-    backend->sort_pairs(k0, v0, &ctx);
+TEST(KernelBackend, SortPairsKeyShapes) {
+  constexpr std::uint64_t kFp = 1ull << 61;
+  const std::size_t fan = kernel::host::kSortFanOutMin;
+  for (const std::size_t n : {std::size_t{1000}, fan + 1}) {
+    SCOPED_TRACE(n);
+    // Weak-moduli keys: only the low digits differ, with many ties.
+    expect_sort_matches_std(random_keys(n, 1000, 1000, 200));
+    // Every key equal, then all but the last, which sorts first.
+    std::vector<Key128> equal(n, Key128{42, 42});
+    expect_sort_matches_std(equal);
+    equal.back() = Key128{41, 42};
+    expect_sort_matches_std(equal);
+    // Keys differing only in lo.
+    std::vector<Key128> lo_only = random_keys(n, 1, kFp, 201);
+    for (Key128& k : lo_only) k.hi = 0x0123456789abcdefull;
+    expect_sort_matches_std(lo_only);
+    // Presorted and reverse-sorted, duplicates included.
+    std::vector<Key128> presorted = sorted(random_keys(n, kFp >> 50, 4, 202));
+    expect_sort_matches_std(presorted);
+    std::reverse(presorted.begin(), presorted.end());
+    expect_sort_matches_std(presorted);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "io/fault_injector.hpp"
 #include "io/record_stream.hpp"
 #include "kernel/backend.hpp"
+#include "kernel/host_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "test_workspace.hpp"
 
@@ -279,11 +280,12 @@ TEST(DeviceWindowedMerge, AllocFaultFiresAtTheSameWindow) {
 }
 
 TEST(SortHostBlock, HostKeyRangeSplitMatchesSimulated) {
-  // One chunk above the key-range split threshold: host backends scatter
-  // by the most significant non-degenerate digit and sort the ranges on
-  // the pool. The output must equal the simulated device sort byte for
-  // byte, including when the top digits of every key are equal, when one
-  // digit value holds most keys, and when every key is the same.
+  // One chunk above the host kernel's fan-out threshold: the MSD radix
+  // sort scatters by the most significant non-degenerate digit and sorts
+  // the top-level buckets on the pool. The output must equal the
+  // simulated device sort byte for byte, including when the top digits of
+  // every key are equal, when one digit value holds most keys, and when
+  // every key is the same.
   constexpr std::size_t kRecords = 40000;
   auto full = random_records(kRecords, 31);
   auto low_digits = random_records(kRecords, 32, 4095);
@@ -333,6 +335,29 @@ TEST(SortHostBlock, HostChunkFanOutMatchesSimulated) {
     TestWorkspace tw;
     std::vector<FpRecord> got = records;
     sort_host_block(tw.ws(), got, 1024);
+    EXPECT_TRUE(same_bytes(want, got));
+  }
+}
+
+TEST(SortHostBlock, NestedKernelFanOutMatchesSimulated) {
+  // Three device chunks, each above the host kernel's fan-out threshold:
+  // the chunks sort concurrently on the pool, and the chunk the caller
+  // sorts itself fans its buckets out again behind the other chunks.
+  constexpr std::uint64_t kChunk = kernel::host::kSortFanOutMin + 5000;
+  auto records = random_records(3 * kChunk, 36);
+  std::vector<FpRecord> want = records;
+  {
+    kernel::ScopedBackend scoped(kernel::simulated_backend());
+    TestWorkspace tw(16ull << 20);
+    sort_host_block(tw.ws(), want, kChunk);
+  }
+  ASSERT_TRUE(is_sorted_by_fp(want));
+  for (kernel::Backend* backend : host_backends()) {
+    SCOPED_TRACE(std::string(backend->name()));
+    kernel::ScopedBackend scoped(*backend);
+    TestWorkspace tw(16ull << 20);
+    std::vector<FpRecord> got = records;
+    sort_host_block(tw.ws(), got, kChunk);
     EXPECT_TRUE(same_bytes(want, got));
   }
 }
