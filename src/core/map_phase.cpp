@@ -4,11 +4,11 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "gpu/stream.hpp"
+#include "io/fault_injector.hpp"
 #include "obs/trace.hpp"
 #include "seq/async_batch_stream.hpp"
 #include "seq/dna.hpp"
@@ -35,7 +35,9 @@ std::uint64_t batch_bases_for(const gpu::Device& dev) {
 }
 
 /// One batch's payload between the fingerprint stage and the emission
-/// stage: everything emission needs, with the strand strings dropped.
+/// stage: everything emission needs, with the strand strings dropped. The
+/// map refills one job batch after batch, so its arrays are allocated
+/// once.
 struct EmissionJob {
   std::vector<unsigned> lengths;        ///< per strand (2 per read)
   std::vector<std::uint32_t> read_ids;  ///< global id per read
@@ -87,13 +89,14 @@ bool prepare_batch(const seq::ReadBatch& batch, const MapOptions& options,
   return true;
 }
 
-/// Deterministic parallel tuple emission: the per-strand loop is split into
-/// contiguous strand chunks staged independently on the thread pool, then
-/// drained to the partition sets chunk-by-chunk in ascending key order.
-/// Because chunks are contiguous and drained in order, the bytes appended
-/// per partition are the concatenation in global strand order — identical
-/// for any chunk count (and therefore any pool size), and identical to the
-/// old serial loop.
+/// Deterministic parallel tuple emission in two steps. stage() splits the
+/// per-strand loop into contiguous strand chunks staged independently on
+/// the thread pool; drain() appends them to the partition files, each
+/// file's chunks in ascending chunk order. Because chunks are contiguous,
+/// the bytes appended per partition are the concatenation in global strand
+/// order — identical for any chunk count (and therefore any pool size), and
+/// identical to the old serial loop. Distinct partitions are distinct
+/// files, so they drain concurrently without changing a byte.
 class TupleEmitter {
  public:
   TupleEmitter(MapResult& result, const MapOptions& options)
@@ -102,9 +105,18 @@ class TupleEmitter {
         buckets_(std::max(1u, options.fingerprint_buckets)),
         key_limit_(static_cast<std::size_t>(kMaxReadLength) * buckets_) {}
 
-  /// Emit one batch's tuples (runs on the caller's thread; parallel inside).
+  /// Stage and drain one batch's tuples (parallel inside).
   void emit(const EmissionJob& job) {
+    stage(job);
+    drain();
+  }
+
+  /// Stage one batch's tuples. The staging is the emitter's own, so the
+  /// batch's fingerprints may be overwritten once this returns; the
+  /// previous batch's drain must have finished.
+  void stage(const EmissionJob& job) {
     const std::size_t n = job.lengths.size();
+    chunks_ = 0;
     if (n == 0) return;
     obs::WallSpan span;
     if (obs::Tracer* tracer = obs::Tracer::active()) {
@@ -112,51 +124,87 @@ class TupleEmitter {
                            "emit:" + std::to_string(job.read_ids.front()),
                            {{"strands", static_cast<std::int64_t>(n)}});
     }
-    const std::size_t chunk_count = options_.emission_chunks > 0
-                                        ? options_.emission_chunks
-                                        : util::ThreadPool::global().size() * 4;
-    const std::size_t chunks = std::min(n, std::max<std::size_t>(1, chunk_count));
-    const std::size_t step = (n + chunks - 1) / chunks;
+    tuples_ = 0;
+    for (const unsigned len : job.lengths) {
+      if (len > options_.min_overlap) {
+        tuples_ += 2 * (len - options_.min_overlap);
+      }
+    }
+    // Chunks of at least kElementGrain tuples (one for a small batch), as
+    // parallel_for_chunked sizes its own, unless the caller fixed a count.
+    const std::size_t chunk_count =
+        options_.emission_chunks > 0
+            ? options_.emission_chunks
+            : std::clamp<std::size_t>(tuples_ / util::kElementGrain, 1,
+                                      util::ThreadPool::global().size() * 4);
+    chunks_ = std::min(n, chunk_count);
+    const std::size_t step = (n + chunks_ - 1) / chunks_;
 
-    if (stages_.size() < chunks) stages_.resize(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) stages_[c].reset(key_limit_);
+    if (stages_.size() < chunks_) stages_.resize(chunks_);
+    for (std::size_t c = 0; c < chunks_; ++c) stages_[c].reset(key_limit_);
 
     if (result_.read_lengths.size() <= job.read_ids.back()) {
       result_.read_lengths.resize(job.read_ids.back() + 1, 0);
     }
 
     util::ThreadPool::global().parallel_for_chunked(
-        chunks, [&](std::size_t cb, std::size_t ce) {
+        chunks_, [&](std::size_t cb, std::size_t ce) {
           for (std::size_t c = cb; c < ce; ++c) {
             stage_chunk(job, c * step, std::min(n, c * step + step),
                         stages_[c]);
           }
         });
 
-    // Deterministic drain: ascending key, then ascending chunk.
-    for (std::size_t key = 0; key < key_limit_; ++key) {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const auto& sfx = stages_[c].sfx[key];
-        if (!sfx.empty()) {
-          result_.suffixes->append(static_cast<unsigned>(key),
-                                   std::span<const FpRecord>(sfx));
-        }
-      }
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const auto& pfx = stages_[c].pfx[key];
-        if (!pfx.empty()) {
-          result_.prefixes->append(static_cast<unsigned>(key),
-                                   std::span<const FpRecord>(pfx));
-        }
-      }
-    }
-    for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t c = 0; c < chunks_; ++c) {
       result_.tuples_emitted += stages_[c].tuples;
       result_.total_bases += stages_[c].bases;
       result_.max_read_length =
           std::max(result_.max_read_length, stages_[c].max_length);
     }
     result_.read_count += static_cast<std::uint32_t>(job.read_ids.size());
+  }
+
+  /// Append the staged batch to the partition files: one pool task per run
+  /// of non-empty partitions, sized so each task writes about kElementGrain
+  /// tuples; a small batch drains inline. Every partition's writer is
+  /// opened first, so the concurrent appends only look the sets up; each
+  /// partition takes its chunks in ascending chunk order.
+  void drain() {
+    targets_.clear();
+    for (const auto& [set, role] :
+         {std::pair{result_.suffixes.get(), &ChunkStage::sfx},
+          std::pair{result_.prefixes.get(), &ChunkStage::pfx}}) {
+      for (std::size_t key = 0; key < key_limit_; ++key) {
+        for (std::size_t c = 0; c < chunks_; ++c) {
+          if (!(stages_[c].*role)[key].empty()) {
+            set->open_writer(static_cast<unsigned>(key));
+            targets_.push_back({set, role, static_cast<unsigned>(key)});
+            break;
+          }
+        }
+      }
+    }
+    if (targets_.empty()) return;
+    // Writes on pool threads answer to the same node-scoped fault rules as
+    // the caller's own.
+    const int node = io::FaultInjector::current_node();
+    util::ThreadPool::global().parallel_for_chunked(
+        targets_.size(),
+        [&](std::size_t begin, std::size_t end) {
+          io::FaultInjector::ScopedNode scope(node);
+          for (std::size_t t = begin; t < end; ++t) {
+            const DrainTarget& target = targets_[t];
+            for (std::size_t c = 0; c < chunks_; ++c) {
+              const auto& records = (stages_[c].*target.role)[target.key];
+              if (!records.empty()) {
+                target.set->append(target.key,
+                                   std::span<const FpRecord>(records));
+              }
+            }
+          }
+        },
+        std::max<std::size_t>(1, targets_.size() * util::kElementGrain /
+                                     std::max<std::uint64_t>(tuples_, 1)));
   }
 
  private:
@@ -218,23 +266,37 @@ class TupleEmitter {
     }
   }
 
+  /// One non-empty partition of the batch: its set, which of the stages'
+  /// two arrays holds its records, and its key.
+  struct DrainTarget {
+    io::PartitionSet<FpRecord>* set;
+    std::vector<std::vector<FpRecord>> ChunkStage::*role;
+    unsigned key;
+  };
+
   MapResult& result_;
   const MapOptions& options_;
   unsigned buckets_;
   std::size_t key_limit_;
   std::vector<ChunkStage> stages_;
+  std::size_t chunks_ = 0;    ///< chunks of the staged batch
+  std::uint64_t tuples_ = 0;  ///< tuples of the staged batch
+  std::vector<DrainTarget> targets_;
 };
 
-/// Background drain stage of the streamed map pipeline: one emission job in
-/// flight while the device fingerprints the next batch. Jobs are processed
-/// strictly FIFO, so partition appends happen in batch order — identical to
-/// the synchronous path. Failures surface on the next submit() or finish().
-class EmitWorker {
+/// Background drain stage of the streamed map pipeline: the emitter's
+/// staged batch is appended to the partition files while the main thread
+/// fingerprints the next batch. One drain runs at a time, so partition
+/// appends happen in batch order — identical to the synchronous path.
+/// Failures surface on the next wait() or finish().
+class DrainWorker {
  public:
-  explicit EmitWorker(TupleEmitter& emitter)
-      : emitter_(emitter), worker_([this] { run(); }) {}
+  explicit DrainWorker(TupleEmitter& emitter)
+      : emitter_(emitter),
+        node_(io::FaultInjector::current_node()),
+        worker_([this] { run(); }) {}
 
-  ~EmitWorker() {
+  ~DrainWorker() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       stop_ = true;
@@ -243,58 +305,65 @@ class EmitWorker {
     if (worker_.joinable()) worker_.join();
   }
 
-  void submit(EmissionJob job) {
+  DrainWorker(const DrainWorker&) = delete;
+  DrainWorker& operator=(const DrainWorker&) = delete;
+
+  /// Block until the drain in flight (if any) has finished, so the emitter
+  /// may stage the next batch; rethrows its failure.
+  void wait() {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !job_.has_value() || error_ != nullptr; });
+    cv_.wait(lock, [this] { return !pending_ || error_ != nullptr; });
     if (error_ != nullptr) std::rethrow_exception(error_);
-    job_.emplace(std::move(job));
+  }
+
+  /// Start draining the emitter's staged batch (after wait()).
+  void start() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      pending_ = true;
+    }
     cv_.notify_all();
   }
 
-  /// Wait for the queue to drain and the worker to exit; rethrows failures.
+  /// Wait for the last drain and stop the worker; rethrows failures.
   void finish() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] {
-      return (!job_.has_value() && !busy_) || error_ != nullptr;
-    });
-    stop_ = true;
+    wait();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
     cv_.notify_all();
-    lock.unlock();
-    if (worker_.joinable()) worker_.join();
-    if (error_ != nullptr) std::rethrow_exception(error_);
+    worker_.join();
   }
 
  private:
   void run() {
+    // Partition writes answer to the submitting node's fault rules.
+    io::FaultInjector::ScopedNode scope(node_);
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-      cv_.wait(lock, [this] { return job_.has_value() || stop_; });
-      if (!job_.has_value()) return;  // stop requested, queue empty
-      EmissionJob job = std::move(*job_);
-      job_.reset();
-      busy_ = true;
-      cv_.notify_all();
+      cv_.wait(lock, [this] { return pending_ || stop_; });
+      if (!pending_) return;  // stop requested, nothing to drain
       lock.unlock();
+      std::exception_ptr error;
       try {
-        emitter_.emit(job);
+        emitter_.drain();
       } catch (...) {
-        lock.lock();
-        error_ = std::current_exception();
-        busy_ = false;
-        cv_.notify_all();
-        return;
+        error = std::current_exception();
       }
       lock.lock();
-      busy_ = false;
+      pending_ = false;
+      error_ = error;
       cv_.notify_all();
+      if (error_ != nullptr) return;
     }
   }
 
   TupleEmitter& emitter_;
+  const int node_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::optional<EmissionJob> job_;
-  bool busy_ = false;
+  bool pending_ = false;  ///< a staged batch awaits or is in its drain
   bool stop_ = false;
   std::exception_ptr error_;
   std::thread worker_;
@@ -329,45 +398,51 @@ MapResult run_map_phase(Workspace& ws,
     }
     util::TrackedAllocation strand_mem(
         *ws.host, strands.size() * (strands.front().size() + 32));
-    job.fps = fingerprint::compute_batch_fingerprints(
+    fingerprint::compute_batch_fingerprints(
         *ws.device, strands, places, options.strategy,
-        options.streamed ? &streams : nullptr);
+        options.streamed ? &streams : nullptr, job.fps);
+  };
+  // Batches outside [first_read, first_read + max_reads) are skipped; the
+  // first batch past the range ends the stream.
+  auto past_range = [&] {
+    return options.max_reads != UINT64_MAX &&
+           batch.first_id >= options.first_read + options.max_reads;
+  };
+  auto before_range = [&] {
+    return batch.first_id + batch.size() <= options.first_read;
   };
 
+  // One job for the whole run: its arrays keep their storage from batch to
+  // batch.
+  EmissionJob job;
   if (options.streamed) {
     // Three-stage software pipeline: the background stream decodes batch
     // i+1 while the device fingerprints batch i (double-buffered across the
-    // stream pair) and the emit worker drains batch i-1's tuples to the
-    // partition files — so at steady state disk input, device compute and
-    // partition output all overlap (paper Fig 8 across the map phase).
+    // stream pair) and the drain worker appends batch i-1's staged tuples
+    // to the partition files — so at steady state disk input, device
+    // compute and partition output all overlap (paper Fig 8 across the map
+    // phase). Staging copies a batch's tuples out of its fingerprints, so
+    // one fingerprint buffer serves every batch.
     seq::AsyncReadBatchStream stream(fastqs, batch_bases);
-    EmitWorker worker(emitter);
+    DrainWorker worker(emitter);
     while (stream.next(batch)) {
-      const std::uint64_t batch_first = batch.first_id;
-      if (batch_first + batch.size() <= options.first_read) continue;
-      if (options.max_reads != UINT64_MAX &&
-          batch_first >= options.first_read + options.max_reads) {
-        break;
-      }
-      EmissionJob job;
+      if (before_range()) continue;
+      if (past_range()) break;
       if (!prepare_batch(batch, options, strands, job)) continue;
       fingerprint_batch(job);
       util::TrackedAllocation fp_mem(
           *ws.host, (job.fps.prefix.size() + job.fps.suffix.size()) *
                         sizeof(gpu::Key128));
-      worker.submit(std::move(job));
+      worker.wait();
+      emitter.stage(job);
+      worker.start();
     }
     worker.finish();
   } else {
     seq::ReadBatchStream stream(fastqs, batch_bases);
     while (stream.next(batch)) {
-      const std::uint64_t batch_first = batch.first_id;
-      if (batch_first + batch.size() <= options.first_read) continue;
-      if (options.max_reads != UINT64_MAX &&
-          batch_first >= options.first_read + options.max_reads) {
-        break;
-      }
-      EmissionJob job;
+      if (before_range()) continue;
+      if (past_range()) break;
       if (!prepare_batch(batch, options, strands, job)) continue;
       fingerprint_batch(job);
       util::TrackedAllocation fp_mem(

@@ -52,12 +52,15 @@ struct MapOptions {
   /// reduce. 1 = plain per-length partitioning (keys are lengths).
   unsigned fingerprint_buckets = 1;
   /// Run the three-stage software pipeline: background batch prefetch,
-  /// double-buffered fingerprint kernels, and background tuple emission.
-  /// Partition files are byte-identical either way.
+  /// double-buffered fingerprint kernels, and a background drain of each
+  /// batch's tuples to the partition files. Partition files are
+  /// byte-identical either way.
   bool streamed = false;
-  /// Number of strand chunks for parallel emission (0 = auto: 4x the pool
-  /// size). Output bytes are identical for every value; exposed so tests
-  /// can prove it.
+  /// Number of strand chunks for parallel emission (0 = auto: one per
+  /// util::kElementGrain tuples of the batch, at least one and at most 4x
+  /// the pool size). Each chunk makes one append per partition it reaches.
+  /// Output bytes are identical for every value; exposed so tests can
+  /// prove it.
   unsigned emission_chunks = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "fingerprint/kernels.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "seq/dna.hpp"
 #include "util/modmath.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lasagna::fingerprint {
 
@@ -36,26 +38,39 @@ struct EncodedBatch {
   unsigned count = 0;
 };
 
-EncodedBatch encode(std::span<const std::string> reads) {
-  EncodedBatch batch;
-  batch.count = static_cast<unsigned>(reads.size());
-  for (const auto& r : reads) {
-    batch.stride = std::max(batch.stride, static_cast<unsigned>(r.size()));
+/// Size `out`'s arrays to the batch, keeping their storage: nothing is
+/// filled here, encode_and_clear zeroes each row's tail.
+void size_outputs(BatchFingerprints& out, std::size_t total) {
+  for (auto* lanes : {&out.prefix, &out.suffix}) {
+    if (lanes->capacity() < total) lanes->clear();  // grow without a copy
+    lanes->resize(total);
   }
-  batch.codes.assign(static_cast<std::size_t>(batch.count) * batch.stride, 0);
-  batch.lengths.resize(batch.count);
-  for (unsigned r = 0; r < batch.count; ++r) {
-    const auto& read = reads[r];
-    if (read.size() > 0xffff) {
-      throw std::invalid_argument("read longer than 65535 bases");
-    }
-    batch.lengths[r] = static_cast<std::uint16_t>(read.size());
-    for (std::size_t i = 0; i < read.size(); ++i) {
-      batch.codes[static_cast<std::size_t>(r) * batch.stride + i] =
-          static_cast<std::uint8_t>(seq::encode_base(read[i]));
-    }
-  }
-  return batch;
+}
+
+/// Encode every read into `batch` and zero the lanes past each read's
+/// length in the codes and both output arrays (the backends' canonical
+/// form; the valid lanes are the kernel's to write). Rows are independent,
+/// so this runs on the pool.
+void encode_and_clear(std::span<const std::string> reads, EncodedBatch& batch,
+                      BatchFingerprints& out) {
+  const std::size_t stride = batch.stride;
+  util::ThreadPool::global().parallel_for_chunked(
+      batch.count,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const std::string& read = reads[r];
+          batch.lengths[r] = static_cast<std::uint16_t>(read.size());
+          std::uint8_t* codes = batch.codes.data() + r * stride;
+          seq::encode_bases(read, codes);
+          std::fill(codes + read.size(), codes + stride, std::uint8_t{0});
+          std::fill(out.prefix.begin() + r * stride + read.size(),
+                    out.prefix.begin() + (r + 1) * stride, gpu::Key128{});
+          std::fill(out.suffix.begin() + r * stride + read.size(),
+                    out.suffix.begin() + (r + 1) * stride, gpu::Key128{});
+        }
+      },
+      std::max<std::size_t>(1, util::kElementGrain / std::max<std::size_t>(
+                                                         1, stride)));
 }
 
 }  // namespace
@@ -65,21 +80,37 @@ BatchFingerprints compute_batch_fingerprints(gpu::Device& dev,
                                              const PlaceTable& places,
                                              KernelStrategy strategy,
                                              gpu::StreamPair* streams) {
-  if (reads.empty()) return {};
+  BatchFingerprints out;
+  compute_batch_fingerprints(dev, reads, places, strategy, streams, out);
+  return out;
+}
+
+void compute_batch_fingerprints(gpu::Device& dev,
+                                std::span<const std::string> reads,
+                                const PlaceTable& places,
+                                KernelStrategy strategy,
+                                gpu::StreamPair* streams,
+                                BatchFingerprints& out) {
+  EncodedBatch batch;
+  batch.count = static_cast<unsigned>(reads.size());
   for (const auto& r : reads) {
     if (r.size() > places.max_length()) {
       throw std::invalid_argument(
           "read longer than the PlaceTable max_length");
     }
+    if (r.size() > 0xffff) {
+      throw std::invalid_argument("read longer than 65535 bases");
+    }
+    batch.stride = std::max(batch.stride, static_cast<unsigned>(r.size()));
   }
-  const EncodedBatch batch = encode(reads);
   const std::size_t total =
       static_cast<std::size_t>(batch.count) * batch.stride;
-
-  BatchFingerprints out;
   out.stride = batch.stride;
-  out.prefix.assign(total, gpu::Key128{});  // backends fill valid lanes only
-  out.suffix.assign(total, gpu::Key128{});
+  size_outputs(out, total);
+  if (reads.empty()) return;
+  batch.codes.resize(total);
+  batch.lengths.resize(batch.count);
+  encode_and_clear(reads, batch, out);
 
   const FingerprintConfig& cfg = places.config();
   kernel::FingerprintJob job;
@@ -116,7 +147,6 @@ BatchFingerprints compute_batch_fingerprints(gpu::Device& dev,
             {std::as_bytes(std::span<const gpu::Key128>(out.prefix)),
              std::as_bytes(std::span<const gpu::Key128>(out.suffix))}));
   }
-  return out;
 }
 
 }  // namespace lasagna::fingerprint

@@ -79,11 +79,25 @@ struct BatchFingerprints {
 /// overlap the neighbouring batch's kernel while kernels serialize (one
 /// compute engine). Host backends (scalar/avx2) compute on the host and
 /// leave the modeled clock untouched. Outputs are byte-identical either
-/// way; an active kernel::CaptureSession records the invocation.
+/// way; an active kernel::CaptureSession records the invocation. Reads are
+/// encoded on util::ThreadPool::global(); a non-ACGT base throws
+/// std::invalid_argument.
 [[nodiscard]] BatchFingerprints compute_batch_fingerprints(
     gpu::Device& dev, std::span<const std::string> reads,
     const PlaceTable& places,
     KernelStrategy strategy = KernelStrategy::kBlockPerRead,
     gpu::StreamPair* streams = nullptr);
+
+/// The same, into `out`, whose arrays keep their storage from call to call
+/// (a caller streaming batches allocates them once). Only the lanes past
+/// each read's length are zeroed, which is all the canonical form needs:
+/// `out` left over from any earlier batch gives the same bytes as a fresh
+/// zero-filled one.
+void compute_batch_fingerprints(gpu::Device& dev,
+                                std::span<const std::string> reads,
+                                const PlaceTable& places,
+                                KernelStrategy strategy,
+                                gpu::StreamPair* streams,
+                                BatchFingerprints& out);
 
 }  // namespace lasagna::fingerprint

@@ -27,23 +27,29 @@ class PartitionSet {
     std::filesystem::create_directories(dir_);
   }
 
+  /// Open the writer of partition `length` if it is not open yet. Opening
+  /// inserts into the set and must not overlap any other call; once every
+  /// partition an emitter writes is open, its appends to distinct
+  /// partitions may run concurrently.
+  void open_writer(unsigned length) { (void)partition(length); }
+
   /// Append records for partition `length` (writer opened lazily).
   void append(unsigned length, std::span<const T> records) {
-    auto& w = writer(length);
-    w.write(records);
-    counts_[length] = w.count();
+    Partition& p = partition(length);
+    p.writer->write(records);
+    p.count = p.writer->count();
   }
 
   void append_one(unsigned length, const T& record) {
-    auto& w = writer(length);
-    w.write_one(record);
-    counts_[length] = w.count();
+    append(length, std::span<const T>(&record, 1));
   }
 
   /// Close all writers; the set becomes readable.
   void finalize() {
-    for (auto& [length, w] : writers_) w->close();
-    writers_.clear();
+    for (auto& [length, p] : partitions_) {
+      if (p.writer) p.writer->close();
+      p.writer.reset();  // the count stays
+    }
     finalized_ = true;
   }
 
@@ -51,27 +57,29 @@ class PartitionSet {
   /// recorded per-length counts and mark the set finalized without opening
   /// any writers. The files themselves are validated by the caller.
   void restore_finalized(const std::map<unsigned, std::uint64_t>& counts) {
-    if (!writers_.empty()) {
+    if (!partitions_.empty()) {
       throw std::logic_error("PartitionSet::restore_finalized after append");
     }
-    counts_ = counts;
+    for (const auto& [length, count] : counts) {
+      partitions_[length].count = count;
+    }
     finalized_ = true;
   }
 
   /// Lengths that received at least one record, ascending.
   [[nodiscard]] std::vector<unsigned> lengths() const {
     std::vector<unsigned> out;
-    out.reserve(counts_.size());
-    for (const auto& [length, count] : counts_) {
-      if (count > 0) out.push_back(length);
+    out.reserve(partitions_.size());
+    for (const auto& [length, p] : partitions_) {
+      if (p.count > 0) out.push_back(length);
     }
     return out;
   }
 
   /// Number of records written to partition `length` (0 if none).
   [[nodiscard]] std::uint64_t count(unsigned length) const {
-    const auto it = counts_.find(length);
-    return it == counts_.end() ? 0 : it->second;
+    const auto it = partitions_.find(length);
+    return it == partitions_.end() ? 0 : it->second.count;
   }
 
   /// File path of partition `length` (exists only if count(length) > 0).
@@ -93,33 +101,39 @@ class PartitionSet {
   void drop(unsigned length) {
     std::error_code ec;
     std::filesystem::remove(path(length), ec);
-    counts_.erase(length);
+    partitions_.erase(length);
   }
 
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
   [[nodiscard]] const std::string& role() const { return role_; }
 
  private:
-  RecordWriter<T>& writer(unsigned length) {
+  /// One partition: its writer while the set is being written, and the
+  /// records written to it (or restored).
+  struct Partition {
+    std::unique_ptr<RecordWriter<T>> writer;
+    std::uint64_t count = 0;
+  };
+
+  /// The open partition `length`. Lookup is `find`, which is safe alongside
+  /// other lookups; only a partition's first use inserts.
+  Partition& partition(unsigned length) {
     if (finalized_) {
       throw std::logic_error("PartitionSet::append after finalize");
     }
-    auto it = writers_.find(length);
-    if (it == writers_.end()) {
-      it = writers_
-               .emplace(length,
-                        std::make_unique<RecordWriter<T>>(path(length),
-                                                          *stats_))
-               .first;
+    auto it = partitions_.find(length);
+    if (it == partitions_.end()) it = partitions_.try_emplace(length).first;
+    if (!it->second.writer) {
+      it->second.writer =
+          std::make_unique<RecordWriter<T>>(path(length), *stats_);
     }
-    return *it->second;
+    return it->second;
   }
 
   std::filesystem::path dir_;
   std::string role_;
   IoStats* stats_;
-  std::map<unsigned, std::unique_ptr<RecordWriter<T>>> writers_;
-  std::map<unsigned, std::uint64_t> counts_;
+  std::map<unsigned, Partition> partitions_;
   bool finalized_ = false;
 };
 

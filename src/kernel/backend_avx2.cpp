@@ -10,7 +10,12 @@
 //     — two 64x64 multiplies and one conditional subtract, no division.
 //     Four reads run per vector lane (64-bit lanes); reads are processed
 //     in strips of four, prefixes front-aligned and suffixes end-aligned
-//     so the place value sigma^k is a per-step broadcast constant.
+//     so the place value sigma^k is a per-step broadcast constant; large
+//     jobs spread their strips over the thread pool
+//     (kernel/host_kernels.hpp). Once the strips run on every core the
+//     kernel is bound by its output writes, so lanes are stored
+//     non-temporally: no read of each output line into cache before it is
+//     overwritten.
 //     Requires q < 2^62 (the suffix accumulator reaches 4q); jobs with
 //     out-of-range moduli delegate to the scalar backend.
 //   * match_bounds — the ascending prefix of the needles (in the reduce,
@@ -142,9 +147,24 @@ inline bool moduli_supported(const FingerprintJob& job) {
   return ok(job.primary.modulus) && ok(job.secondary.modulus);
 }
 
+/// Store one fingerprint lane: non-temporally when `stream` (16-byte
+/// aligned outputs; the caller fences once its strips are done), else
+/// plainly.
+inline void store_lane(Key128* out, std::uint64_t hi, std::uint64_t lo,
+                       bool stream) {
+  if (stream) {
+    _mm_stream_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_set_epi64x(static_cast<long long>(lo),
+                                    static_cast<long long>(hi)));
+  } else {
+    out->hi = hi;
+    out->lo = lo;
+  }
+}
+
 /// Prefix + suffix fingerprints for one strip of up to 4 reads.
 void fingerprint_strip(const FingerprintJob& job, unsigned r0, unsigned lanes,
-                       const ShoupCtx& ca, const ShoupCtx& cb) {
+                       const ShoupCtx& ca, const ShoupCtx& cb, bool stream) {
   const unsigned stride = job.stride;
   std::array<unsigned, 4> len{};
   unsigned max_len = 0;
@@ -175,10 +195,8 @@ void fingerprint_strip(const FingerprintJob& job, unsigned r0, unsigned lanes,
     _mm256_store_si256(reinterpret_cast<__m256i*>(spb), pb);
     for (unsigned l = 0; l < lanes; ++l) {
       if (k < len[l]) {
-        Key128& out =
-            job.prefix[static_cast<std::size_t>(r0 + l) * stride + k];
-        out.hi = spa[l];
-        out.lo = spb[l];
+        store_lane(&job.prefix[static_cast<std::size_t>(r0 + l) * stride + k],
+                   spa[l], spb[l], stream);
       }
     }
   }
@@ -227,10 +245,9 @@ void fingerprint_strip(const FingerprintJob& job, unsigned r0, unsigned lanes,
     _mm256_store_si256(reinterpret_cast<__m256i*>(ssb), sb);
     for (unsigned l = 0; l < lanes; ++l) {
       if (k <= len[l]) {
-        Key128& out = job.suffix[static_cast<std::size_t>(r0 + l) * stride +
-                                 (len[l] - k)];
-        out.hi = ssa[l];
-        out.lo = ssb[l];
+        store_lane(&job.suffix[static_cast<std::size_t>(r0 + l) * stride +
+                               (len[l] - k)],
+                   ssa[l], ssb[l], stream);
       }
     }
   }
@@ -239,9 +256,19 @@ void fingerprint_strip(const FingerprintJob& job, unsigned r0, unsigned lanes,
 void avx2_fingerprint(const FingerprintJob& job) {
   const ShoupCtx ca(job.primary);
   const ShoupCtx cb(job.secondary);
-  for (unsigned r0 = 0; r0 < job.count; r0 += 4) {
-    fingerprint_strip(job, r0, std::min(4u, job.count - r0), ca, cb);
-  }
+  const bool stream = (reinterpret_cast<std::uintptr_t>(job.prefix) |
+                       reinterpret_cast<std::uintptr_t>(job.suffix)) %
+                          alignof(__m128i) ==
+                      0;
+  host::for_each_read_range(job, [&](unsigned begin, unsigned end) {
+    for (unsigned r0 = begin; r0 < end; r0 += host::kFingerprintStrip) {
+      fingerprint_strip(job, r0, std::min(host::kFingerprintStrip, end - r0),
+                        ca, cb, stream);
+    }
+    // Non-temporal stores are weakly ordered: publish them before the
+    // range counts as done.
+    _mm_sfence();
+  });
 }
 
 // ---- match bounds ----------------------------------------------------------

@@ -20,10 +20,17 @@
 //     needle's bounds instead of binary-searching the whole window per
 //     needle. Needles past the first descent take std::lower_bound and
 //     std::upper_bound.
+//
+// Both backends' fingerprint kernels split a large job's reads into
+// strip-aligned ranges on the thread pool (for_each_read_range); each read
+// is independent, so the split never changes a byte.
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "gpu/key128.hpp"
@@ -45,30 +52,43 @@ void scalar_fingerprint(const FingerprintJob& job) {
   const std::uint64_t qb = job.secondary.modulus;
   const std::uint64_t ra = job.primary.radix;
   const std::uint64_t rb = job.secondary.radix;
-  for (unsigned r = 0; r < job.count; ++r) {
-    const unsigned len = job.lengths[r];
-    const std::uint8_t* codes =
-        job.codes.data() + static_cast<std::size_t>(r) * job.stride;
-    Key128* prefix_row = job.prefix + static_cast<std::size_t>(r) * job.stride;
-    Key128* suffix_row = job.suffix + static_cast<std::size_t>(r) * job.stride;
+  host::for_each_read_range(job, [&](unsigned begin, unsigned end) {
+    for (unsigned r = begin; r < end; ++r) {
+      const unsigned len = job.lengths[r];
+      const std::uint8_t* codes =
+          job.codes.data() + static_cast<std::size_t>(r) * job.stride;
+      Key128* prefix_row =
+          job.prefix + static_cast<std::size_t>(r) * job.stride;
+      Key128* suffix_row =
+          job.suffix + static_cast<std::size_t>(r) * job.stride;
 
-    std::uint64_t ha = 0;
-    std::uint64_t hb = 0;
-    for (unsigned i = 0; i < len; ++i) {
-      ha = addmod(mulmod(ha, ra, qa), codes[i] % qa, qa);
-      hb = addmod(mulmod(hb, rb, qb), codes[i] % qb, qb);
-      prefix_row[i] = Key128{ha, hb};
+      std::uint64_t ha = 0;
+      std::uint64_t hb = 0;
+      for (unsigned i = 0; i < len; ++i) {
+        ha = addmod(mulmod(ha, ra, qa), codes[i] % qa, qa);
+        hb = addmod(mulmod(hb, rb, qb), codes[i] % qb, qb);
+        prefix_row[i] = Key128{ha, hb};
+      }
+      std::uint64_t sa = 0;
+      std::uint64_t sb = 0;
+      for (unsigned i = len; i-- > 0;) {
+        sa = addmod(mulmod(codes[i] % qa, job.pow_primary[len - 1 - i], qa),
+                    sa, qa);
+        sb = addmod(
+            mulmod(codes[i] % qb, job.pow_secondary[len - 1 - i], qb), sb,
+            qb);
+        suffix_row[i] = Key128{sa, sb};
+      }
     }
-    std::uint64_t sa = 0;
-    std::uint64_t sb = 0;
-    for (unsigned i = len; i-- > 0;) {
-      sa = addmod(mulmod(codes[i] % qa, job.pow_primary[len - 1 - i], qa), sa,
-                  qa);
-      sb = addmod(mulmod(codes[i] % qb, job.pow_secondary[len - 1 - i], qb),
-                  sb, qb);
-      suffix_row[i] = Key128{sa, sb};
-    }
-  }
+  });
+}
+
+/// Reads per pool chunk of a fingerprint job with rows of `stride` bases.
+std::size_t fingerprint_grain(unsigned stride) {
+  const std::size_t reads =
+      (util::kElementGrain + std::max(stride, 1u) - 1) / std::max(stride, 1u);
+  return (reads + host::kFingerprintStrip - 1) / host::kFingerprintStrip *
+         host::kFingerprintStrip;
 }
 
 /// n keys with their values, at the same offset in the caller's arrays or
@@ -85,6 +105,21 @@ struct Pairs {
     std::copy(values, values + n, to.values);
   }
 };
+
+struct OperatorDelete {
+  void operator()(void* p) const { ::operator delete(p); }
+};
+
+/// n elements of a trivial type, left uninitialized (a zero fill would be
+/// one more pass over memory): msd_sort writes every scratch element
+/// before it reads it.
+template <typename T>
+std::unique_ptr<T[], OperatorDelete> uninitialized_array(std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  return std::unique_ptr<T[], OperatorDelete>(
+      static_cast<T*>(::operator new(n * sizeof(T))));
+}
 
 /// Stable insertion sort of the n pairs at `p`.
 void insertion_sort(Pairs p, std::size_t n) {
@@ -217,13 +252,36 @@ class ScalarBackend final : public Backend {
 
 }  // namespace
 
+std::size_t host::fingerprint_fan_out_min(unsigned stride) {
+  return 2 * fingerprint_grain(stride);
+}
+
+void host::for_each_read_range(
+    const FingerprintJob& job,
+    const std::function<void(unsigned, unsigned)>& rows) {
+  if (job.count < fingerprint_fan_out_min(job.stride)) {
+    rows(0, job.count);
+    return;
+  }
+  const std::size_t strips =
+      (job.count + kFingerprintStrip - 1) / kFingerprintStrip;
+  util::ThreadPool::global().parallel_for_chunked(
+      strips,
+      [&](std::size_t begin, std::size_t end) {
+        rows(static_cast<unsigned>(begin * kFingerprintStrip),
+             static_cast<unsigned>(
+                 std::min<std::size_t>(end * kFingerprintStrip, job.count)));
+      },
+      fingerprint_grain(job.stride) / kFingerprintStrip);
+}
+
 void host::sort_pairs(std::span<Key128> keys,
                       std::span<std::uint64_t> values) {
   const std::size_t n = keys.size();
   if (n < 2) return;
-  std::vector<Key128> tmp_keys(n);
-  std::vector<std::uint64_t> tmp_values(n);
-  msd_sort({keys.data(), values.data()}, {tmp_keys.data(), tmp_values.data()},
+  const auto tmp_keys = uninitialized_array<Key128>(n);
+  const auto tmp_values = uninitialized_array<std::uint64_t>(n);
+  msd_sort({keys.data(), values.data()}, {tmp_keys.get(), tmp_values.get()},
            n, Key128::kDigits, true, n >= kSortFanOutMin);
 }
 

@@ -1,13 +1,16 @@
-// The sort and merge-join kernels both host backends share, defined in
-// backend_scalar.cpp (baseline ISA), which explains why neither has an
-// AVX2 variant.
+// What both host backends share, defined in backend_scalar.cpp (baseline
+// ISA): the sort and merge-join kernels, which are bound by memory traffic
+// and so have no AVX2 variant, and the fan-out of a fingerprint job over
+// the thread pool.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "gpu/key128.hpp"
+#include "kernel/backend.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lasagna::kernel::host {
@@ -19,6 +22,22 @@ inline constexpr std::size_t kInsertionSortMax = 32;
 /// From this many pairs up, sort_pairs sorts its top-level buckets
 /// concurrently on util::ThreadPool::global().
 inline constexpr std::size_t kSortFanOutMin = 2 * util::kElementGrain;
+
+/// Reads per fingerprint strip: the AVX2 kernel's four 64-bit lanes. Every
+/// read range for_each_read_range hands out starts on a strip boundary.
+inline constexpr unsigned kFingerprintStrip = 4;
+
+/// Reads a fingerprint job with rows of `stride` bases needs before
+/// for_each_read_range fans it out: two pool chunks of at least
+/// kElementGrain bases each, in whole strips.
+[[nodiscard]] std::size_t fingerprint_fan_out_min(unsigned stride);
+
+/// Runs `rows(begin, end)` over read ranges that cover [0, job.count) once:
+/// inline as one range below fingerprint_fan_out_min(job.stride) reads,
+/// else concurrently on util::ThreadPool::global(). Reads are independent,
+/// so the output does not depend on the split.
+void for_each_read_range(const FingerprintJob& job,
+                         const std::function<void(unsigned, unsigned)>& rows);
 
 /// Stable MSD radix sort of `keys` (8-bit digits, most significant
 /// non-degenerate digit first, out of place) with `values` permuted

@@ -17,6 +17,10 @@ enum class Base : std::uint8_t { A = 0, C = 1, G = 2, T = 3 };
 /// Encode, throwing std::invalid_argument on non-ACGT input.
 [[nodiscard]] Base encode_base(char c);
 
+/// Encode the s.size() bases of `s` into `out`, one code per byte; throws
+/// std::invalid_argument, as encode_base does, if any is not ACGT.
+void encode_bases(std::string_view s, std::uint8_t* out);
+
 /// Decode a 2-bit code to an uppercase character.
 [[nodiscard]] char decode_base(Base b);
 

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 
@@ -27,6 +29,7 @@
 #include "kernel/dump.hpp"
 #include "kernel/host_kernels.hpp"
 #include "kernel/replay.hpp"
+#include "obs/metrics.hpp"
 #include "seq/genome.hpp"
 #include "seq/simulator.hpp"
 #include "tie_corpus.hpp"
@@ -126,10 +129,167 @@ TEST(KernelBackend, FingerprintWeakModuliFallBackToScalar) {
   }
 }
 
+/// `count` reads of mixed lengths up to `max_length` (the first is that
+/// long, so it sets the stride), encoded as a fingerprint job needs them.
+struct EncodedReads {
+  unsigned stride = 0;
+  std::vector<std::uint8_t> codes;
+  std::vector<std::uint16_t> lengths;
+};
+
+EncodedReads mixed_encoded_reads(std::size_t count, unsigned max_length,
+                                 std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  EncodedReads out;
+  out.stride = max_length;
+  out.codes.assign(count * max_length, 0);
+  for (std::size_t r = 0; r < count; ++r) {
+    const unsigned len =
+        r == 0 ? max_length
+               : static_cast<unsigned>(rng() % (max_length + 1));
+    out.lengths.push_back(static_cast<std::uint16_t>(len));
+    for (unsigned i = 0; i < len; ++i) {
+      out.codes[r * max_length + i] = static_cast<std::uint8_t>(rng() & 3);
+    }
+  }
+  return out;
+}
+
+/// count*stride zeroed lanes, their first one `offset` bytes past a 16-byte
+/// boundary (8 bytes reaches the AVX2 kernel's plain-store path).
+class Lanes {
+ public:
+  Lanes(std::size_t count, std::size_t offset)
+      : raw_(new std::byte[count * sizeof(Key128) + offset]),
+        lanes_(reinterpret_cast<Key128*>(raw_.get() + offset)),
+        count_(count) {
+    std::uninitialized_value_construct_n(lanes_, count);
+  }
+
+  [[nodiscard]] Key128* data() { return lanes_; }
+  [[nodiscard]] std::vector<Key128> values() const {
+    return {lanes_, lanes_ + count_};
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> raw_;
+  Key128* lanes_;
+  std::size_t count_;
+};
+
+/// Run `backend`'s fingerprint kernel on `reads` rows [first, first + count)
+/// into zeroed outputs placed `offset` bytes past a 16-byte boundary.
+std::pair<std::vector<Key128>, std::vector<Key128>> fingerprint_rows(
+    kernel::Backend& backend, const EncodedReads& reads, std::size_t first,
+    std::size_t count, const fingerprint::PlaceTable& places,
+    std::size_t offset = 0) {
+  const std::size_t lanes = count * reads.stride;
+  Lanes prefix(lanes, offset);
+  Lanes suffix(lanes, offset);
+  kernel::FingerprintJob job;
+  job.count = static_cast<unsigned>(count);
+  job.stride = reads.stride;
+  job.codes = std::span(reads.codes).subspan(first * reads.stride, lanes);
+  job.lengths = std::span(reads.lengths).subspan(first, count);
+  job.primary = places.config().primary;
+  job.secondary = places.config().secondary;
+  job.pow_primary = places.primary_table();
+  job.pow_secondary = places.secondary_table();
+  job.prefix = prefix.data();
+  job.suffix = suffix.data();
+  backend.fingerprint(job, nullptr);
+  return {prefix.values(), suffix.values()};
+}
+
+TEST(KernelBackend, FingerprintFanOutMatchesUnsplitScalar) {
+  // Around the fan-out threshold the host kernels split the reads over the
+  // pool (and only from the threshold up); the bytes must equal scalar's
+  // run one read at a time, far below any split, with the outputs on a
+  // 16-byte boundary or 8 bytes past one.
+  const fingerprint::PlaceTable places(
+      fingerprint::FingerprintConfig::standard(), 512);
+  const unsigned stride = 100;
+  const std::size_t threshold = kernel::host::fingerprint_fan_out_min(stride);
+  ASSERT_GT(threshold, 1u);
+  auto& tasks = obs::MetricsRegistry::global().counter("pool.tasks_submitted");
+  for (const std::size_t count : {threshold - 1, threshold, threshold + 1}) {
+    const EncodedReads reads = mixed_encoded_reads(count, stride, count);
+    std::vector<Key128> want_prefix;
+    std::vector<Key128> want_suffix;
+    for (std::size_t r = 0; r < count; ++r) {
+      const auto row =
+          fingerprint_rows(kernel::scalar_backend(), reads, r, 1, places);
+      want_prefix.insert(want_prefix.end(), row.first.begin(),
+                         row.first.end());
+      want_suffix.insert(want_suffix.end(), row.second.begin(),
+                         row.second.end());
+    }
+    for (kernel::Backend* backend : host_backends_under_test()) {
+      for (const std::size_t offset : {0u, 8u}) {
+        const std::int64_t tasks_before = tasks.value();
+        const auto got =
+            fingerprint_rows(*backend, reads, 0, count, places, offset);
+        EXPECT_EQ(tasks.value() > tasks_before, count >= threshold)
+            << backend->name() << " count " << count;
+        EXPECT_TRUE(got.first == want_prefix) << backend->name() << " prefix, "
+                                              << count << " reads, offset "
+                                              << offset;
+        EXPECT_TRUE(got.second == want_suffix) << backend->name() << " suffix, "
+                                               << count << " reads, offset "
+                                               << offset;
+      }
+    }
+  }
+}
+
 std::vector<kernel::Backend*> every_backend_under_test() {
   std::vector<kernel::Backend*> backends = {&kernel::simulated_backend()};
   for (kernel::Backend* b : host_backends_under_test()) backends.push_back(b);
   return backends;
+}
+
+TEST(KernelBackend, FingerprintReusedBufferMatchesFreshOne) {
+  // A buffer left by a batch of longer reads, reused for a ragged batch,
+  // must hold the same bytes as a fresh zero-filled one: the lanes past
+  // each read's length are zeroed again.
+  const auto cfg = fingerprint::FingerprintConfig::standard();
+  const fingerprint::PlaceTable places(cfg, 512);
+  const std::vector<std::string> longer(40, seq::random_genome(150, 3));
+  const auto ragged = ragged_reads(11);
+  for (kernel::Backend* backend : every_backend_under_test()) {
+    gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+    kernel::ScopedBackend scope(*backend);
+    fingerprint::BatchFingerprints reused;
+    fingerprint::compute_batch_fingerprints(
+        dev, longer, places, fingerprint::KernelStrategy::kBlockPerRead,
+        nullptr, reused);
+    const Key128* storage = reused.prefix.data();
+    fingerprint::compute_batch_fingerprints(
+        dev, ragged, places, fingerprint::KernelStrategy::kBlockPerRead,
+        nullptr, reused);
+    EXPECT_EQ(reused.prefix.data(), storage) << backend->name();
+    const auto fresh =
+        fingerprint::compute_batch_fingerprints(dev, ragged, places);
+    EXPECT_EQ(reused.stride, fresh.stride) << backend->name();
+    EXPECT_TRUE(reused.prefix == fresh.prefix) << backend->name();
+    EXPECT_TRUE(reused.suffix == fresh.suffix) << backend->name();
+  }
+}
+
+TEST(KernelBackend, FingerprintRejectsNonAcgtBases) {
+  // The batch is encoded on the pool; a bad base in a late read still
+  // surfaces as std::invalid_argument on the caller, naming the base.
+  const fingerprint::PlaceTable places(
+      fingerprint::FingerprintConfig::standard(), 512);
+  std::vector<std::string> reads(400, seq::random_genome(100, 5));
+  reads[300][42] = 'N';
+  gpu::Device dev(gpu::GpuProfile::k40(), 8u << 20);
+  try {
+    (void)fingerprint::compute_batch_fingerprints(dev, reads, places);
+    ADD_FAILURE() << "accepted a non-ACGT base";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "not an ACGT base: 'N'");
+  }
 }
 
 /// Every backend's bounds of `needles` in `haystack` equal

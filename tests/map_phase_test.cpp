@@ -1,13 +1,18 @@
 // Direct unit tests of the map phase: tuple counts, partition routing,
-// strand/vertex numbering, agreement with host-computed fingerprints, and
-// the distributed block-range restriction.
+// strand/vertex numbering, agreement with host-computed fingerprints, the
+// distributed block-range restriction, and the writes of many small
+// batches.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <sstream>
 
 #include "core/map_phase.hpp"
 #include "fingerprint/rabin_karp.hpp"
 #include "graph/string_graph.hpp"
 #include "io/fastq.hpp"
 #include "io/record_stream.hpp"
+#include "obs/metrics.hpp"
 #include "seq/dna.hpp"
 #include "seq/genome.hpp"
 #include "test_workspace.hpp"
@@ -26,6 +31,23 @@ std::filesystem::path write_reads(const TestWorkspace& tw,
   const auto path = tw.dir().file("reads.fq");
   io::write_fastq_file(path, records);
   return path;
+}
+
+/// Every partition file's bytes, keyed by role and partition key.
+std::map<std::string, std::string> partition_contents(const MapResult& map,
+                                                      TestWorkspace& tw) {
+  std::map<std::string, std::string> out;
+  for (const auto& [role, set] :
+       {std::pair{"sfx:", map.suffixes.get()},
+        std::pair{"pfx:", map.prefixes.get()}}) {
+    for (const unsigned l : set->lengths()) {
+      const auto records = io::read_all_records<FpRecord>(set->path(l), tw.io());
+      out[role + std::to_string(l)] = std::string(
+          reinterpret_cast<const char*>(records.data()),
+          records.size() * sizeof(FpRecord));
+    }
+  }
+  return out;
 }
 
 TEST(MapPhase, TupleCountMatchesFormula) {
@@ -151,6 +173,56 @@ TEST(MapPhase, StrategiesProduceIdenticalPartitions) {
     for (std::size_t i = 0; i < ra.size(); ++i) {
       ASSERT_EQ(ra[i].fp, rb[i].fp) << "l=" << l << " i=" << i;
       ASSERT_EQ(ra[i].vertex, rb[i].vertex);
+    }
+  }
+}
+
+TEST(MapPhase, SmallBatchesAppendOncePerPartitionPerBatch) {
+  // A 64 KiB device fingerprints about eight 100-base reads per batch, the
+  // many-small-batches shape of a small device. Partition bytes are the
+  // same for any emission chunking, synchronous or streamed; with the
+  // chunk count sized to the work, each batch appends once to each
+  // non-empty partition.
+  const std::string genome = seq::random_genome(3000, 19);
+  std::vector<std::string> reads;
+  for (std::size_t pos = 0; pos + 100 <= genome.size(); pos += 7) {
+    reads.push_back(genome.substr(pos, 100));
+  }
+  const unsigned min_overlap = 63;
+  const obs::Histogram& batches =
+      obs::MetricsRegistry::global().histogram("kernel.fingerprint.wall_ns");
+  std::map<std::string, std::string> reference;
+  for (const bool streamed : {false, true}) {
+    for (const unsigned chunks : {1u, 5u, 0u}) {
+      TestWorkspace tw(64u << 10);
+      const auto path = write_reads(tw, reads);
+      MapOptions options;
+      options.min_overlap = min_overlap;
+      options.streamed = streamed;
+      options.emission_chunks = chunks;
+      const std::int64_t batches_before = batches.count();
+      const std::uint64_t writes_before = tw.io().write_ops();
+      const auto map = run_map_phase(tw.ws(), path, options);
+      const std::int64_t batch_count = batches.count() - batches_before;
+      const std::uint64_t writes = tw.io().write_ops() - writes_before;
+      const auto contents = partition_contents(map, tw);
+      std::ostringstream label;
+      label << "streamed " << streamed << " chunks " << chunks;
+
+      EXPECT_GT(batch_count, 20) << label.str();
+      EXPECT_EQ(map.read_count, reads.size()) << label.str();
+      if (reference.empty()) {
+        reference = contents;
+      } else {
+        EXPECT_TRUE(contents == reference) << label.str();
+      }
+      if (chunks == 0) {
+        // Every strand is 100 bases, so each batch fills every length in
+        // [min_overlap, 100) of both roles.
+        EXPECT_EQ(writes, static_cast<std::uint64_t>(batch_count) * 2 *
+                              (100 - min_overlap))
+            << label.str();
+      }
     }
   }
 }

@@ -40,6 +40,56 @@ TEST(Dna, ReverseComplement) {
   EXPECT_EQ(reverse_complement(reverse_complement(s)), s);
 }
 
+TEST(Dna, TablesMatchTheAlphabetOnEveryByteValue) {
+  // Every byte value: A/C/G/T in either case encode, complement and
+  // reverse-complement as the alphabet says; everything else is refused
+  // with std::invalid_argument naming the byte.
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    int code = -1;
+    switch (c) {
+      case 'A': case 'a': code = 0; break;
+      case 'C': case 'c': code = 1; break;
+      case 'G': case 'g': code = 2; break;
+      case 'T': case 't': code = 3; break;
+      default: break;
+    }
+    const std::string text = std::string("AC") + c + "GT";
+    Base b = Base::G;
+    std::uint8_t codes[5] = {9, 9, 9, 9, 9};
+    EXPECT_EQ(try_encode_base(c, b), code >= 0) << v;
+    if (code >= 0) {
+      const char comp = "ACGT"[code ^ 3];
+      EXPECT_EQ(static_cast<int>(b), code) << v;
+      EXPECT_EQ(static_cast<int>(encode_base(c)), code) << v;
+      EXPECT_EQ(complement(c), comp) << v;
+      EXPECT_EQ(reverse_complement(text), std::string("AC") + comp + "GT")
+          << v;
+      encode_bases(text, codes);
+      EXPECT_EQ(codes[2], code) << v;
+      EXPECT_EQ(codes[0], 0) << v;
+      EXPECT_EQ(codes[4], 3) << v;
+      continue;
+    }
+    EXPECT_EQ(b, Base::G) << v;  // untouched
+    const std::string message =
+        (std::string("not an ACGT base: '") + c + "'").c_str();
+    auto expect_refused = [&](auto&& call, const char* what) {
+      try {
+        call();
+        ADD_FAILURE() << what << " accepted byte " << v;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), message) << what << " " << v;
+      }
+    };
+    expect_refused([&] { (void)encode_base(c); }, "encode_base");
+    expect_refused([&] { (void)complement(c); }, "complement");
+    expect_refused([&] { (void)reverse_complement(text); },
+                   "reverse_complement");
+    expect_refused([&] { encode_bases(text, codes); }, "encode_bases");
+  }
+}
+
 TEST(Dna, SanitizeReplacesOnlyBadBases) {
   const std::string out = sanitize("ACNNGT", 5);
   EXPECT_EQ(out.size(), 6u);
