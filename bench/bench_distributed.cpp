@@ -20,8 +20,7 @@
 // reconciliation supersteps pipeline under the scan frontier, producing
 // byte-identical contigs. The exit code enforces:
 //   - contigs byte-identical and shuffle_hash equal at every node count,
-//     for sync, streamed, speculative AND fingerprint-BSP runs (tie order
-//     is layout-invariant since PR 7, so BSP is gated, not informational)
+//     for sync, streamed and speculative runs
 //   - streamed total >= 20% below sync at 8 nodes
 //   - streamed reduce <= sync reduce at every node count
 //   - speculative reduce <= 0.6x the token reduce at 32 nodes
@@ -123,7 +122,6 @@ struct Guards {
   bool hashes_match = true;
   bool reduce_ok = true;
   bool spec_identical = true;  ///< speculative contigs == token contigs
-  bool bsp_identical = true;   ///< BSP contigs == token contigs
   double reduction_at_8 = 0.0;
   double min_shuffle_oe_at_4plus = -1.0;  ///< streamed runs, nodes >= 4
   double spec_vs_token_at_32 = 0.0;  ///< spec reduce / token reduce
@@ -132,7 +130,7 @@ struct Guards {
 
   [[nodiscard]] bool pass() const {
     return contigs_identical && hashes_match && reduce_ok &&
-           spec_identical && bsp_identical && reduction_at_8 >= 20.0 &&
+           spec_identical && reduction_at_8 >= 20.0 &&
            spec_vs_token_at_32 <= 0.6 &&
            (min_shuffle_oe_at_4plus < 0.0 ||
             min_shuffle_oe_at_4plus > 1.15) &&
@@ -418,33 +416,6 @@ int main(int argc, char** argv) {
     weak_json += entry;
   }
 
-  // ---- BSP reduce spot-check (the paper's IV-D future work) ----------------
-  // Gated since PR 7: the canonical layout-invariant tie order (DESIGN.md
-  // section 5) makes equal-fingerprint offers arrive in the same total
-  // order on every layout, so the BSP merge-back now reconstructs the
-  // single-node offer order exactly — byte-identical contigs required.
-  std::printf("-- fingerprint-BSP reduce, streamed --\n");
-  bench::print_row("nodes", {"reduce", "total"});
-  for (const unsigned nodes : {2u, 8u}) {
-    bench::ScopedMetricsCell metrics_cell;
-    io::ScopedTempDir out("lasagna-fig10-bsp");
-    dist::ClusterConfig config =
-        dist::ClusterConfig::supermic(nodes, args.scale);
-    config.min_overlap = spec.min_overlap;
-    config.reduce_strategy = dist::ReduceStrategy::kFingerprintBsp;
-    const dist::DistributedResult r =
-        dist::run_distributed(fastq, out.file("bsp.fa"), config);
-    const bool same = file_hash(out.file("bsp.fa")) == reference_contigs;
-    guards.bsp_identical = guards.bsp_identical && same;
-    bench::print_row(
-        std::to_string(nodes),
-        {bench::cell_time(r.stats.phase("reduce").modeled_seconds),
-         bench::cell_time(r.stats.total_modeled_seconds())});
-    if (!same) {
-      std::printf("%-10s !! BSP contigs differ from token reference\n", "");
-    }
-  }
-
   {
     std::ofstream out("BENCH_distributed.json", std::ios::trunc);
     out << "{\n"
@@ -459,7 +430,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "contigs %s; shuffle hash %s; spec contigs %s; BSP contigs %s; "
+      "contigs %s; shuffle hash %s; spec contigs %s; "
       "streamed hides %.1f%% at 8 nodes (target >= 20%%); min shuffle oe "
       "at >=4 nodes %.2f (target > 1.15); streamed reduce %s sync at every "
       "node count; spec reduce %.2fx token at 32 nodes (target <= 0.6)\n",
@@ -467,7 +438,6 @@ int main(int argc, char** argv) {
                                : "MISMATCHED",
       guards.hashes_match ? "stable" : "MISMATCHED",
       guards.spec_identical ? "byte-identical" : "MISMATCHED",
-      guards.bsp_identical ? "byte-identical" : "MISMATCHED",
       guards.reduction_at_8, guards.min_shuffle_oe_at_4plus,
       guards.reduce_ok ? "<=" : "EXCEEDS", guards.spec_vs_token_at_32);
   std::printf(

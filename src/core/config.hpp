@@ -16,6 +16,7 @@
 #include "gpu/profile.hpp"
 #include "io/io_stats.hpp"
 #include "util/memory_tracker.hpp"
+#include "util/stats.hpp"
 
 namespace lasagna::core {
 
@@ -52,6 +53,12 @@ struct MachineConfig {
   /// Scaled like disk bandwidth so modeled seconds stay in full-size-world
   /// units.
   double nic_bandwidth_bytes_per_sec = 0.0;
+
+  /// The lane prices every modeled phase on this machine is charged at.
+  [[nodiscard]] util::LaneLedger lane_ledger() const {
+    return {time_scale, disk_bandwidth_bytes_per_sec,
+            host_bandwidth_bytes_per_sec};
+  }
 
   /// QueenBee II node: 128 GB host + K40 12 GB (Tables II/IV), divided by
   /// `scale`.

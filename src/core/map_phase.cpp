@@ -101,9 +101,7 @@ class TupleEmitter {
  public:
   TupleEmitter(MapResult& result, const MapOptions& options)
       : result_(result),
-        options_(options),
-        buckets_(std::max(1u, options.fingerprint_buckets)),
-        key_limit_(static_cast<std::size_t>(kMaxReadLength) * buckets_) {}
+        options_(options) {}
 
   /// Stage and drain one batch's tuples (parallel inside).
   void emit(const EmissionJob& job) {
@@ -141,7 +139,7 @@ class TupleEmitter {
     const std::size_t step = (n + chunks_ - 1) / chunks_;
 
     if (stages_.size() < chunks_) stages_.resize(chunks_);
-    for (std::size_t c = 0; c < chunks_; ++c) stages_[c].reset(key_limit_);
+    for (std::size_t c = 0; c < chunks_; ++c) stages_[c].reset(kMaxReadLength);
 
     if (result_.read_lengths.size() <= job.read_ids.back()) {
       result_.read_lengths.resize(job.read_ids.back() + 1, 0);
@@ -174,7 +172,7 @@ class TupleEmitter {
     for (const auto& [set, role] :
          {std::pair{result_.suffixes.get(), &ChunkStage::sfx},
           std::pair{result_.prefixes.get(), &ChunkStage::pfx}}) {
-      for (std::size_t key = 0; key < key_limit_; ++key) {
+      for (std::size_t key = 0; key < kMaxReadLength; ++key) {
         for (std::size_t c = 0; c < chunks_; ++c) {
           if (!(stages_[c].*role)[key].empty()) {
             set->open_writer(static_cast<unsigned>(key));
@@ -210,8 +208,8 @@ class TupleEmitter {
  private:
   /// Flat indexed-by-partition-key staging for one strand chunk (replaces
   /// the old std::map<unsigned, std::vector<FpRecord>>: partition keys are
-  /// dense in [0, kMaxReadLength * buckets), so direct indexing beats the
-  /// tree on every lookup of the hot emission loop). Vectors keep their
+  /// overlap lengths, dense in [0, kMaxReadLength), so direct indexing beats
+  /// the tree on every lookup of the hot emission loop). Vectors keep their
   /// capacity across batches.
   struct ChunkStage {
     std::vector<std::vector<FpRecord>> sfx;
@@ -248,12 +246,8 @@ class TupleEmitter {
       for (unsigned l = options_.min_overlap; l < len; ++l) {
         const gpu::Key128 pfp = prefix_row[l - 1];
         const gpu::Key128 sfp = suffix_row[len - l];
-        stage.pfx[partition_key(
-                      l, static_cast<unsigned>(pfp.hi % buckets_), buckets_)]
-            .push_back(FpRecord{pfp, vertex, 0});
-        stage.sfx[partition_key(
-                      l, static_cast<unsigned>(sfp.hi % buckets_), buckets_)]
-            .push_back(FpRecord{sfp, vertex, 0});
+        stage.pfx[l].push_back(FpRecord{pfp, vertex, 0});
+        stage.sfx[l].push_back(FpRecord{sfp, vertex, 0});
         stage.tuples += 2;
       }
       stage.max_length = std::max(stage.max_length, len);
@@ -276,8 +270,6 @@ class TupleEmitter {
 
   MapResult& result_;
   const MapOptions& options_;
-  unsigned buckets_;
-  std::size_t key_limit_;
   std::vector<ChunkStage> stages_;
   std::size_t chunks_ = 0;    ///< chunks of the staged batch
   std::uint64_t tuples_ = 0;  ///< tuples of the staged batch

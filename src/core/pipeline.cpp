@@ -71,29 +71,14 @@ class PhaseScope {
         io_after.bytes_written - io_before_.bytes_written;
     phase.peak_host_bytes = ws_.host->peak();
     phase.peak_device_bytes = ws_.device->memory().peak();
-    // Device kernels process scaled data at real GPU rates; multiplying by
-    // time_scale expresses them in the same full-size-world units as the
-    // (bandwidth-scaled) disk time.
-    phase.device_seconds =
-        (ws_.device->modeled_seconds() - device_before_) *
-        machine_.time_scale;
-    phase.disk_seconds =
-        static_cast<double>(phase.disk_bytes_read +
-                            phase.disk_bytes_written) /
-        machine_.disk_bandwidth_bytes_per_sec;
-    phase.host_seconds = static_cast<double>(host_bytes_) /
-                         machine_.host_bandwidth_bytes_per_sec;
-    phase.modeled_seconds =
-        overlapped_
-            ? std::max({phase.device_seconds, phase.disk_seconds,
-                        phase.host_seconds})
-            : phase.device_seconds + phase.disk_seconds + phase.host_seconds;
-    phase.overlap_efficiency =
-        phase.modeled_seconds > 0.0
-            ? (phase.device_seconds + phase.disk_seconds +
-               phase.host_seconds) /
-                  phase.modeled_seconds
-            : 1.0;
+    const util::Lanes lanes = machine_.lane_ledger().price(
+        ws_.device->modeled_seconds() - device_before_,
+        phase.disk_bytes_read + phase.disk_bytes_written, host_bytes_);
+    phase.device_seconds = lanes.device;
+    phase.disk_seconds = lanes.disk;
+    phase.host_seconds = lanes.host;
+    phase.modeled_seconds = lanes.cost(overlapped_);
+    phase.overlap_efficiency = lanes.overlap_efficiency(phase.modeled_seconds);
     phase.faults_injected =
         io_after.faults_injected - io_before_.faults_injected;
     phase.faults_retried =

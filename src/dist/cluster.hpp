@@ -28,14 +28,18 @@
 //             partition l+1 to the owner of partition l, which serializes
 //             graph building while overlap-finding runs in parallel. Edge
 //             sets stay distributed; they are gathered only for contigs.
+//             The speculative strategy scans every partition at once and
+//             reconciles to the same edge set; reduced graph mode builds
+//             and transitively reduces a distributed full graph instead.
 //   compress— node 0 merges the edge sets and generates contigs.
 //
 // Wall-clock on the test host says little about an 8-node cluster, so each
 // phase also gets a modeled time. Each node runs a four-lane overlap model
-// — device, disk, host, network — and a phase's modeled span is max over
-// nodes of the streamed lane combination (max of lanes when streamed, sum
-// when synchronous), plus an event-driven token simulation for the reduce
-// phase (the paper's t_o * p/n + t_g * p behaviour).
+// — device, disk, host, network — priced by util::LaneLedger, and a phase's
+// modeled span is max over nodes of the lane combination (util::Lanes::cost:
+// max of lanes when streamed, sum when synchronous), plus an event-driven
+// token simulation for the reduce phase (the paper's t_o * p/n + t_g * p
+// behaviour).
 //
 // Fault tolerance: with `work_dir` + `resume` set, every node keeps a
 // per-node checkpoint manifest; a run killed mid-phase (fault injection:
@@ -61,11 +65,6 @@ enum class ReduceStrategy {
   /// out-degree bit-vector travels as a token from the owner of length
   /// l+1 to the owner of length l, serializing graph construction.
   kLengthToken,
-  /// The paper's future work (IV-D): partitions are additionally split by
-  /// fingerprint, so every node holds a slice of *every* length and the
-  /// overlap finding for one length runs on all nodes at once; greedy
-  /// resolution happens in a bulk-synchronous superstep per length.
-  kFingerprintBsp,
   /// Partitioned speculative greedy (core::SpeculativeResolver): every
   /// node scans its owned partitions in parallel (no token), locally
   /// resolves its candidates in the canonical rank order, and proposes its

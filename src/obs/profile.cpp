@@ -14,7 +14,6 @@
 namespace lasagna::obs {
 
 std::atomic<Profiler*> Profiler::active_{nullptr};
-thread_local ProfEdgeKind Profiler::hint_ = ProfEdgeKind::kAm;
 
 namespace {
 

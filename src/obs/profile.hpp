@@ -208,7 +208,9 @@ class Profiler {
   std::uint64_t last_chain_id_ = 0;   ///< tail of the current chain
 
   static std::atomic<Profiler*> active_;
-  static thread_local ProfEdgeKind hint_;
+  // Constant-initialized inline, so every translation unit reaches it
+  // directly instead of through a thread_local init wrapper.
+  static inline thread_local ProfEdgeKind hint_ = ProfEdgeKind::kAm;
 };
 
 }  // namespace lasagna::obs

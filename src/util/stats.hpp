@@ -1,6 +1,7 @@
 // Per-phase statistics collected by the pipeline and reported by benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +36,87 @@ struct PhaseStats {
   obs::MetricsRegistry::Snapshot metrics = {};
   /// True when the phase was restored from a checkpoint instead of run.
   bool resumed = false;
+};
+
+// ---- lane ledger ----------------------------------------------------------
+// Every modeled phase, single-node and distributed, is priced by the two
+// rules below: raw deltas become lane seconds at the machine's prices, and
+// a phase (or one node's share of it) costs the max of its lanes when they
+// stream concurrently, their sum when they run one after another.
+
+/// Modeled seconds on each lane of a node or phase.
+struct Lanes {
+  double device = 0.0;
+  double disk = 0.0;
+  double host = 0.0;
+  double network = 0.0;
+
+  Lanes& operator+=(const Lanes& other) {
+    device += other.device;
+    disk += other.disk;
+    host += other.host;
+    network += other.network;
+    return *this;
+  }
+  /// The lanes back to back. The summation order is part of the model:
+  /// every reported figure is rounded in exactly this order.
+  [[nodiscard]] double sum() const { return device + disk + network + host; }
+  /// The lanes overlapped: the busiest one bounds.
+  [[nodiscard]] double max() const {
+    return std::max({device, disk, host, network});
+  }
+  /// Phase cost: max of the lanes when streamed, their sum when sync.
+  [[nodiscard]] double cost(bool streamed) const {
+    return streamed ? max() : sum();
+  }
+  /// Lane work over the modeled time it took: 1.0 for serial phases,
+  /// approaching the lane count when overlap hides all but the slowest.
+  [[nodiscard]] double overlap_efficiency(double modeled) const {
+    return modeled > 0.0 ? sum() / modeled : 1.0;
+  }
+};
+
+/// The lane prices of one machine.
+struct LaneLedger {
+  /// Device kernels process scaled data at real GPU rates; multiplying by
+  /// the time scale expresses them in the same full-size-world units as
+  /// the (bandwidth-scaled) disk and host lanes.
+  double time_scale = 1.0;
+  double disk_bytes_per_sec = 1.0;
+  double host_bytes_per_sec = 1.0;
+
+  [[nodiscard]] double device(double device_seconds) const {
+    return device_seconds * time_scale;
+  }
+  [[nodiscard]] double disk(double bytes) const {
+    return bytes / disk_bytes_per_sec;
+  }
+  [[nodiscard]] double host(double bytes) const {
+    return bytes / host_bytes_per_sec;
+  }
+  /// Price a device-clock delta, disk bytes and host-stage bytes.
+  [[nodiscard]] Lanes price(double device_seconds, std::uint64_t disk_bytes,
+                            std::uint64_t host_bytes) const {
+    return Lanes{device(device_seconds), disk(static_cast<double>(disk_bytes)),
+                 host(static_cast<double>(host_bytes))};
+  }
+};
+
+/// One node's running clock over a sequence of priced steps (partition
+/// scans): streamed steps overlap lane by lane, so the clock is the
+/// busiest lane's running total; synchronous steps chain end to end.
+struct LaneClock {
+  Lanes total;
+  double chained = 0.0;
+
+  double add(const Lanes& step, bool streamed) {
+    total += step;
+    chained += step.sum();
+    return now(streamed);
+  }
+  [[nodiscard]] double now(bool streamed) const {
+    return streamed ? total.max() : chained;
+  }
 };
 
 /// Ordered collection of phase stats for one pipeline run.

@@ -1,11 +1,11 @@
 // Layout-invariance suite for equal-fingerprint tie order (the DESIGN.md
 // §5 fix). The reduce defines a canonical total order on each equal-
 // fingerprint candidate group — suffix vertex ascending, then prefix
-// vertex ascending — independent of sort-run boundaries, bucket layouts,
-// window geometry and chunk counts. These tests permute every layout knob
-// and assert the offer sequence, the greedy edge set and the final
-// contigs are byte-identical for the single-node and distributed (token,
-// BSP, speculative) paths.
+// vertex ascending — independent of sort-run boundaries, window geometry
+// and chunk counts. These tests permute every layout knob and assert the
+// offer sequence, the greedy edge set and the final contigs are
+// byte-identical for the single-node and distributed (token, speculative)
+// paths.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -210,8 +210,7 @@ TEST_F(ReduceTieOrderE2E, DistributedStrategiesAgree) {
   using dist::ReduceStrategy;
   for (const unsigned nodes : {1u, 2u, 4u}) {
     for (const ReduceStrategy strategy :
-         {ReduceStrategy::kLengthToken, ReduceStrategy::kFingerprintBsp,
-          ReduceStrategy::kSpeculative}) {
+         {ReduceStrategy::kLengthToken, ReduceStrategy::kSpeculative}) {
       ClusterConfig config = ClusterConfig::supermic(nodes, 4096.0);
       config.min_overlap = kMinOverlap;
       config.machine.host_memory_bytes = 1 << 19;

@@ -66,7 +66,6 @@ std::filesystem::path simulated_fastq(const TestWorkspace& tw,
 MapOptions base_map_options() {
   MapOptions options;
   options.min_overlap = 80;
-  options.fingerprint_buckets = 2;  // exercise composite partition keys
   return options;
 }
 
